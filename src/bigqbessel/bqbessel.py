@@ -25,6 +25,8 @@ from .errors import InvalidOrder, ZeroSpectralParameter
 from .qcalc import (
     QContext,
     SeriesValue,
+    _mpf,
+    _workdigits,
     fused_product_ratio,
     q_derivative,
     q_derivative_inv,
@@ -43,10 +45,6 @@ __all__ = [
     "identity_residual",
     "IDENTITY_KINDS",
 ]
-
-
-def _mpf(x) -> mp.mpf:
-    return x if isinstance(x, mp.mpf) else mp.mpf(x)
 
 
 def _series_value(alpha, x, z, q, tol, terms_max) -> SeriesValue:
@@ -241,12 +239,21 @@ def eval_big_sin(
     terms_max: int = TERMS_MAX,
     method: str = "order",
 ) -> SeriesValue:
-    """Big q-sine sin(x, lambda; q^2) = J_{1/2}(x, lambda; q^2) / (1 - q)."""
+    """Big q-sine sin(x, lambda; q^2) = J_{1/2}(x, lambda; q^2) / (1 - q).
+
+    The 1/(1-q) scaling is done at the working precision for tol, and
+    abs_error includes its rounding.
+    """
     if method == "display":
         return _trig_series(x, z, ctx.q, tol, terms_max, "sin")
     sv = eval_J(ctx, 0.5, x, z, tol, terms_max)
-    pref = 1 / (1 - _mpf(ctx.q))
-    return SeriesValue(sv.value * pref, sv.abs_error * pref, sv.terms_used)
+    with mp.workdps(_workdigits(tol)):
+        pref = 1 / (1 - _mpf(ctx.q))
+        value = sv.value * pref
+        # 1 - q, the division and the product each round by at most
+        # 2^-prec relative; 10^(1-dps) covers the three
+        err = sv.abs_error * pref + abs(value) * mp.mpf(10) ** (1 - mp.mp.dps)
+        return SeriesValue(+value, +err, sv.terms_used)
 
 
 def classical_j(alpha, t):
@@ -379,9 +386,7 @@ def identity_residual(
     a = _mpf(alpha)
     xm = _mpf(x)
     zm = _mpf(z)
-    digs = max(30, int(-math.log10(tol)) + 15)
-
-    with mp.workdps(digs):
+    with mp.workdps(_workdigits(tol)):
         if kind == "dq-order-raise":
             lhs = q_derivative(
                 lambda t: eval_J(ctx, alpha, t, zm, tol).value, xm, q

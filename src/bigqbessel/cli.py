@@ -25,12 +25,10 @@ from .orthogonality import (
     gram_matrix,
     lommel_integral_direct,
     lommel_rhs_closed,
-    norm_sq_closed,
 )
-from .qcalc import QContext, fused_product_ratio, q_integral
+from .qcalc import QContext, fused_product_ratio
 from .sampling import q_hankel_transform, reconstruct, sampling_kernel
 from .zerofinder import ZeroTable, find_zeros
-from .orthogonality import weight
 
 __all__ = ["RunPlan", "VerifyReport", "parse_args", "execute", "main"]
 
@@ -224,18 +222,10 @@ def _verify_orthogonality(ctx: QContext, alpha, tol) -> List[dict]:
             }
         )
     table = find_zeros(ctx, alpha, 3)
+    rep = gram_matrix(ctx, alpha, table, tol)
     for k in range(3):
-
-        def integrand(x, z=mp.mpf(table.zeros[k]) ** 2):
-            return (
-                weight(ctx, alpha, x, tol)
-                * eval_J(ctx, alpha + 1, x, z, tol).value ** 2
-            )
-
-        direct = q_integral(integrand, 1.0, ctx.q, tol).value
-        closed = norm_sq_closed(
-            ctx, alpha, table.zeros[k], table.derivs[k], 1.0, tol
-        )
+        direct = rep.matrix[k][k]
+        closed = rep.norm_closed[k]
         entries.append(
             {
                 "id": "norm-closed-vs-direct",
@@ -243,7 +233,6 @@ def _verify_orthogonality(ctx: QContext, alpha, tol) -> List[dict]:
                 "residual": float(abs(direct - closed) / abs(closed)),
             }
         )
-    rep = gram_matrix(ctx, alpha, table, tol)
     entries.append(
         {
             "id": "gram-offdiagonal",

@@ -16,26 +16,37 @@ zeros lam = j_n, mu = j_m the lattice boundary term at x = a dies but the
 one at x = 0 survives, so the off-diagonal Gram entries are O(1) rather
 than zero.  The closed forms below include the boundary term, which is the
 form that matches the direct q-integral to working precision; the
-boundary-free display is available behind printed=True for comparison.
+boundary-free display is restated in tests/oracles.py, where the tests show
+that it fails.
+
+Every lattice sum here is one weighted Jackson sum,
+(1-q) a sum_m w(a q^m) F(a q^m) G(a q^m) q^m, taken by a _Lattice that one
+public call builds and drops.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Dict, List
 
 import mpmath as mp
 
 from .bqbessel import eval_dJ_dz, eval_J
-from .defaults import DEFAULT_TOL, RESIDUAL_TOL
+from .defaults import DEFAULT_TOL
 from .errors import (
     LengthMismatch,
     NotAZero,
     OrderOutOfRange,
     ScaleMismatch,
 )
-from .qcalc import QContext, SeriesValue, fused_product_ratio, q_integral
+from .qcalc import (
+    QContext,
+    SeriesValue,
+    _mpf,
+    _workdigits,
+    fused_product_ratio,
+    jackson_sum,
+)
 from .zerofinder import ZeroTable
 
 __all__ = [
@@ -50,14 +61,6 @@ __all__ = [
     "fourier_coefficients",
     "fourier_partial_sum",
 ]
-
-
-def _mpf(x) -> mp.mpf:
-    return x if isinstance(x, mp.mpf) else mp.mpf(x)
-
-
-def _workdigits(tol: float) -> int:
-    return max(30, int(-math.log10(tol)) + 15)
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,86 @@ def weight(ctx: QContext, alpha, x, tol: float = DEFAULT_TOL):
     return x * fused_product_ratio(x * x, 2, 2 * _mpf(alpha) + 4, ctx.q, tol)
 
 
+class _Lattice:
+    """The Jackson lattice a q^m of [0, a] for one (ctx, alpha, a, tol).
+
+    Built inside one public call, at that call's working precision, and
+    dropped with it.  The powers q^m, the weights w(a q^m) and the columns
+    J_{alpha+1}(a q^m, z) are each computed once, when first needed.
+    """
+
+    def __init__(self, ctx: QContext, alpha, a, tol: float) -> None:
+        self.ctx = ctx
+        self.alpha = alpha
+        self.tol = tol
+        self.q = _mpf(ctx.q)
+        self.a = _mpf(a)
+        self.order = _mpf(alpha) + 1
+        self._qpow: List[mp.mpf] = []
+        self._weights: Dict[int, mp.mpf] = {}
+
+    def qpow(self, m: int) -> mp.mpf:
+        while len(self._qpow) <= m:
+            self._qpow.append(self.q ** len(self._qpow))
+        return self._qpow[m]
+
+    def point(self, m: int) -> mp.mpf:
+        return self.a * self.qpow(m)
+
+    def weight(self, m: int) -> mp.mpf:
+        if m not in self._weights:
+            self._weights[m] = weight(self.ctx, self.alpha, self.point(m), self.tol)
+        return self._weights[m]
+
+    def column(self, z) -> "_Column":
+        return _Column(self, z)
+
+    def integral(self, f, g) -> SeriesValue:
+        """(1-q) a sum_m ((w(a q^m) f[m]) g[m]) q^m.
+
+        f and g are each a signal's value list or a column.  With a signal
+        the sum is finite over its support: a term is skipped where f[m] or
+        g[m] is 0, and g is not looked at where f[m] is 0.  Two columns
+        give the Jackson integral with the tail rule of qcalc.jackson_sum.
+        """
+        lengths = [len(v) for v in (f, g) if not isinstance(v, _Column)]
+        if not lengths:
+            return jackson_sum(
+                lambda m: self.weight(m) * f[m] * g[m], self.a, self.q, self.tol
+            )
+        n = min(lengths)
+        s = mp.mpf(0)
+        for m in range(n):
+            fv = _mpf(f[m])
+            if fv == 0:
+                continue
+            gv = _mpf(g[m])
+            if gv == 0:
+                continue
+            s += self.weight(m) * fv * gv * self.qpow(m)
+        val = (1 - self.q) * self.a * s
+        # Finite sum: only rounding error remains.
+        err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps)
+        return SeriesValue(+val, +err, max(n, 1))
+
+
+class _Column:
+    """m -> J_{alpha+1}(a q^m, z) on a lattice, each value evaluated once."""
+
+    def __init__(self, lattice: _Lattice, z) -> None:
+        self._lattice = lattice
+        self._z = z
+        self._values: Dict[int, mp.mpf] = {}
+
+    def __getitem__(self, m: int) -> mp.mpf:
+        if m not in self._values:
+            lat = self._lattice
+            self._values[m] = eval_J(
+                lat.ctx, lat.order, lat.point(m), self._z, lat.tol
+            ).value
+        return self._values[m]
+
+
 def inner_product(
     ctx: QContext,
     alpha,
@@ -124,21 +207,8 @@ def inner_product(
     (real-valued; conjugation is the identity)."""
     if f.a != g.a:
         raise ScaleMismatch(f"lattice scales differ: {f.a} vs {g.a}")
-    q = _mpf(ctx.q)
-    a = _mpf(f.a)
-    n = min(len(f), len(g))
     with mp.workdps(_workdigits(tol)):
-        s = mp.mpf(0)
-        for k in range(n):
-            fv = _mpf(f.values[k])
-            gv = _mpf(g.values[k])
-            if fv == 0 or gv == 0:
-                continue
-            s += weight(ctx, alpha, a * q**k, tol) * fv * gv * q**k
-        val = (1 - q) * a * s
-        # Finite sum: only rounding error remains.
-        err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps)
-        return SeriesValue(+val, +err, max(n, 1))
+        return _Lattice(ctx, alpha, f.a, tol).integral(f.values, g.values)
 
 
 def lommel_integral_direct(
@@ -148,19 +218,11 @@ def lommel_integral_direct(
     J_{alpha+1}(x, lam) J_{alpha+1}(x, mu) over [0, a]."""
     lam = _mpf(lam)
     mu = _mpf(mu)
-    am = _mpf(alpha)
     with mp.workdps(_workdigits(tol)):
         if lam * lam == mu * mu:
             return SeriesValue(mp.mpf(0), mp.mpf(0), 1)
-
-        def integrand(x):
-            return (
-                weight(ctx, alpha, x, tol)
-                * eval_J(ctx, am + 1, x, lam * lam, tol).value
-                * eval_J(ctx, am + 1, x, mu * mu, tol).value
-            )
-
-        sv = q_integral(integrand, a, ctx.q, tol)
+        lat = _Lattice(ctx, alpha, a, tol)
+        sv = lat.integral(lat.column(lam * lam), lat.column(mu * mu))
         fac = lam * lam - mu * mu
         return SeriesValue(fac * sv.value, abs(fac) * sv.abs_error, sv.terms_used)
 
@@ -182,14 +244,12 @@ def lommel_rhs_closed(
     lam,
     mu,
     tol: float = DEFAULT_TOL,
-    printed: bool = False,
 ) -> SeriesValue:
     """Closed form of the Lommel-type product integral (times lam^2-mu^2).
 
-    The default form includes the x -> 0 lattice boundary term and orients
-    the bracket so both sides agree (verified against the direct integral
-    to working precision).  printed=True evaluates the boundary-free
-    display verbatim instead; it does not match the direct integral.
+    It includes the x -> 0 lattice boundary term and orients the bracket so
+    both sides agree (verified against the direct integral to working
+    precision).
     """
     q = _mpf(ctx.q)
     am = _mpf(alpha)
@@ -201,12 +261,9 @@ def lommel_rhs_closed(
         z_mu = mu * mu
         C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
         W = fused_product_ratio(a * a, 0, 2 * am + 2, q, tol)
-        if printed:
-            val = C * W * _bracket(ctx, am, a / q, a, z_mu, z_lam, tol)
-        else:
-            bq = _bracket(ctx, am, a / q, a, z_lam, z_mu, tol)
-            b0 = _bracket(ctx, am, 0, 0, z_lam, z_mu, tol)
-            val = C * (W * bq - b0)
+        bq = _bracket(ctx, am, a / q, a, z_lam, z_mu, tol)
+        b0 = _bracket(ctx, am, 0, 0, z_lam, z_mu, tol)
+        val = C * (W * bq - b0)
         err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps) + mp.mpf(tol)
         return SeriesValue(+val, +err, 1)
 
@@ -219,7 +276,6 @@ def norm_sq_closed(
     a: float = 1.0,
     tol: float = DEFAULT_TOL,
     residual_tol: float = 1e-6,
-    printed: bool = False,
 ) -> mp.mpf:
     """Closed form of mu_k = ||J_{alpha+1}(., j_k)||^2 in L^2_q(0, a).
 
@@ -230,9 +286,7 @@ def norm_sq_closed(
                               - J_{alpha+1}(0, j_k) dJ_alpha(0)
                               + dJ_{alpha+1}(0) J_alpha(0, j_k) ),
 
-    where dF(0) denotes the lambda-derivative at x = 0.  printed=True drops
-    the x -> 0 boundary derivative terms and uses the opposite sign, i.e.
-    the display verbatim; that variant does not match the direct integral.
+    where dF(0) denotes the lambda-derivative at x = 0.
     """
     q = _mpf(ctx.q)
     am = _mpf(alpha)
@@ -250,8 +304,6 @@ def norm_sq_closed(
         C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
         W = fused_product_ratio(a * a, 0, 2 * am + 2, q, tol)
         jp_aq = eval_J(ctx, am + 1, a / q, z, tol).value
-        if printed:
-            return C / (2 * zero) * W * jp_aq * deriv
         jp0 = eval_J(ctx, am + 1, 0, z, tol).value
         jm0 = eval_J(ctx, am, 0, z, tol).value
         djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
@@ -275,20 +327,13 @@ def gram_matrix(
     if alpha <= -0.5:
         raise OrderOutOfRange(f"Gram analysis requires alpha > -1/2; got {alpha}")
     n = len(table)
-    am = _mpf(alpha)
     with mp.workdps(_workdigits(tol)):
-        zs = [_mpf(j) * _mpf(j) for j in table.zeros]
+        lat = _Lattice(ctx, alpha, a, tol)
+        cols = [lat.column(_mpf(j) * _mpf(j)) for j in table.zeros]
         mat = [[mp.mpf(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                def integrand(x, zi=zs[i], zj=zs[j]):
-                    return (
-                        weight(ctx, alpha, x, tol)
-                        * eval_J(ctx, am + 1, x, zi, tol).value
-                        * eval_J(ctx, am + 1, x, zj, tol).value
-                    )
-
-                v = q_integral(integrand, a, ctx.q, tol).value
+                v = lat.integral(cols[i], cols[j]).value
                 mat[i][j] = v
                 mat[j][i] = v
         norms = [
@@ -315,28 +360,14 @@ def fourier_coefficients(
     mu_k from norm_sq_closed."""
     if len(table) < 1:
         raise ValueError("zero table must contain at least one zero")
-    q = _mpf(ctx.q)
-    a = _mpf(f.a)
-    am = _mpf(alpha)
     with mp.workdps(_workdigits(tol)):
+        lat = _Lattice(ctx, alpha, f.a, tol)
         coeffs = []
         for k in range(len(table)):
             z = _mpf(table.zeros[k]) ** 2
-            ip = mp.mpf(0)
-            for m, fv in enumerate(f.values):
-                fv = _mpf(fv)
-                if fv == 0:
-                    continue
-                x = a * q**m
-                ip += (
-                    weight(ctx, alpha, x, tol)
-                    * fv
-                    * eval_J(ctx, am + 1, x, z, tol).value
-                    * q**m
-                )
-            ip *= (1 - q) * a
+            ip = lat.integral(f.values, lat.column(z)).value
             mu = norm_sq_closed(
-                ctx, alpha, table.zeros[k], table.derivs[k], float(a), tol
+                ctx, alpha, table.zeros[k], table.derivs[k], float(f.a), tol
             )
             coeffs.append(ip / mu)
         return coeffs

@@ -33,6 +33,7 @@ __all__ = [
     "q_derivative",
     "q_derivative_inv",
     "q_integral",
+    "jackson_sum",
     "fused_product_ratio",
 ]
 
@@ -72,7 +73,14 @@ class SeriesValue:
 
 
 def _mpf(x) -> mp.mpf:
+    """x as an mpf; an mpf passes through unrounded."""
     return x if isinstance(x, mp.mpf) else mp.mpf(x)
+
+
+def _workdigits(tol: float) -> int:
+    """Working decimal digits of the routines that combine several series
+    values at tolerance tol."""
+    return max(30, int(-math.log10(tol)) + 15)
 
 
 def qpoch(a, q, n: int):
@@ -294,7 +302,21 @@ def q_integral(
     tol: float = DEFAULT_TOL,
     max_terms: int = 10 * TERMS_MAX,
 ) -> SeriesValue:
-    """Jackson q-integral (1-q) a sum_n f(a q^n) q^n over [0, a].
+    """Jackson q-integral (1-q) a sum_n f(a q^n) q^n over [0, a], with the
+    tail rule of jackson_sum."""
+    a = _mpf(a)
+    q = _mpf(q)
+    return jackson_sum(lambda n: f(a * q**n), a, q, tol, max_terms)
+
+
+def jackson_sum(
+    sample: Callable[[int], mp.mpf],
+    a,
+    q,
+    tol: float = DEFAULT_TOL,
+    max_terms: int = 10 * TERMS_MAX,
+) -> SeriesValue:
+    """(1-q) a sum_n sample(n) q^n, where sample(n) = f(a q^n).
 
     The tail is bounded by a*q^(N+1)*sup|f|, with sup|f| estimated as twice
     the max over the first 64 lattice points; the estimate is enlarged on
@@ -306,12 +328,12 @@ def q_integral(
         raise ValueError("tol must be positive")
     a = _mpf(a)
     q = _mpf(q)
-    head = [_mpf(f(a * q**n)) for n in range(64)]
+    head = [_mpf(sample(n)) for n in range(64)]
     sup = 2 * max(abs(v) for v in head)
     s = mp.mpf(0)
     n = 0
     while n < max_terms:
-        fv = head[n] if n < 64 else _mpf(f(a * q**n))
+        fv = head[n] if n < 64 else _mpf(sample(n))
         if abs(fv) > sup:
             sup = 2 * abs(fv)
         s += fv * q**n

@@ -14,25 +14,24 @@ This kernel is the partial-fraction (Mittag-Leffler) expansion of
 F(lambda)/J_alpha(1, lambda): it interpolates (S_k(j_m) = delta_km holds
 by construction since J_alpha(1, j_m) = 0) and the expansion converges
 super-exponentially, independently of any orthogonality of the family
-{J_{alpha+1}(., j_k)}.  The variant with J_{alpha+1} in place of J_alpha
-(printed=True) does not vanish at the sample points and fails the
-delta-property; it is kept for comparison only.
+{J_{alpha+1}(., j_k)}.  The displayed variant with J_{alpha+1} in place of
+J_alpha does not vanish at the sample points and fails the delta-property;
+it is restated in tests/oracles.py, where the tests show that it fails.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import List, NamedTuple
 
 import mpmath as mp
 
-from .bqbessel import eval_dJ_dz, eval_J
+from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
 from .errors import AtPole, IndexOutOfRange, OrderOutOfRange, ScaleMismatch
-from .orthogonality import QLatticeSignal, weight
-from .qcalc import QContext, SeriesValue
+from .orthogonality import QLatticeSignal, _Lattice
+from .qcalc import QContext, SeriesValue, _mpf, _workdigits
 from .zerofinder import ZeroTable
 
 __all__ = [
@@ -43,14 +42,6 @@ __all__ = [
     "reconstruct",
     "closed_sum_check",
 ]
-
-
-def _mpf(x) -> mp.mpf:
-    return x if isinstance(x, mp.mpf) else mp.mpf(x)
-
-
-def _workdigits(tol: float) -> int:
-    return max(30, int(-math.log10(tol)) + 15)
 
 
 def _check_order(alpha) -> None:
@@ -96,6 +87,13 @@ class ClosedSumResult(NamedTuple):
     gap: mp.mpf
 
 
+def _check_scale(f: QLatticeSignal) -> None:
+    if f.a != 1.0:
+        raise ScaleMismatch(
+            f"the transform is defined on the scale-1 lattice; got a={f.a}"
+        )
+
+
 def q_hankel_transform(
     ctx: QContext,
     alpha,
@@ -105,30 +103,20 @@ def q_hankel_transform(
 ) -> SeriesValue:
     """Finite big q-Hankel transform of a lattice signal at lambda."""
     _check_order(alpha)
-    if f.a != 1.0:
-        raise ScaleMismatch(
-            f"the transform is defined on the scale-1 lattice; got a={f.a}"
-        )
-    q = _mpf(ctx.q)
-    am = _mpf(alpha)
+    _check_scale(f)
     lam = _mpf(lam)
     z = lam * lam
     with mp.workdps(_workdigits(tol)):
-        s = mp.mpf(0)
-        for k, fv in enumerate(f.values):
-            fv = _mpf(fv)
-            if fv == 0:
-                continue
-            x = q**k
-            s += (
-                weight(ctx, alpha, x, tol)
-                * fv
-                * eval_J(ctx, am + 1, x, z, tol).value
-                * q**k
-            )
-        val = (1 - q) * s
-        err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps)
-        return SeriesValue(+val, +err, max(len(f.values), 1))
+        lat = _Lattice(ctx, alpha, 1.0, tol)
+        return lat.integral(f.values, lat.column(z))
+
+
+def _kernel(table: ZeroTable, k: int, lam, z, num):
+    """S_k(lambda) from num = J_alpha(1, lambda; q^2) and z = lambda^2."""
+    jk = _mpf(table.zeros[k])
+    if abs(abs(lam) - jk) < KERNEL_POLE_WIDTH * jk:
+        return 2 * jk / (abs(lam) + jk)
+    return 2 * jk * num / ((z - jk * jk) * _mpf(table.derivs[k]))
 
 
 def sampling_kernel(
@@ -138,34 +126,23 @@ def sampling_kernel(
     k: int,
     lam,
     tol: float = DEFAULT_TOL,
-    printed: bool = False,
 ):
     """Sampling kernel S_k(lambda) for the k-th zero (0-based index).
 
     Within a relative distance KERNEL_POLE_WIDTH of j_k the removable
     singularity is evaluated by its limit 2 j_k / (lambda + j_k), which
     equals 1 at lambda = j_k (hard switch; the kernel is smooth on that
-    scale).  printed=True evaluates the variant built on J_{alpha+1} and
-    its derivative instead; it fails the delta-property.
+    scale).
     """
     if not 0 <= k < len(table):
         raise IndexOutOfRange(
             f"kernel index {k} outside table of {len(table)} zeros"
         )
-    am = _mpf(alpha)
     lam = _mpf(lam)
-    jk = _mpf(table.zeros[k])
     with mp.workdps(_workdigits(tol)):
         z = lam * lam
-        if printed:
-            deriv = 2 * jk * eval_dJ_dz(ctx, am + 1, 1, jk * jk, tol).value
-            num = eval_J(ctx, am + 1, 1, z, tol).value
-        else:
-            deriv = _mpf(table.derivs[k])
-            if abs(abs(lam) - jk) < KERNEL_POLE_WIDTH * jk:
-                return 2 * jk / (abs(lam) + jk)
-            num = eval_J(ctx, am, 1, z, tol).value
-        return 2 * jk * num / ((z - jk * jk) * deriv)
+        num = eval_J(ctx, _mpf(alpha), 1, z, tol).value
+        return _kernel(table, k, lam, z, num)
 
 
 def reconstruct(
@@ -175,29 +152,28 @@ def reconstruct(
     table: ZeroTable,
     lambdas: List,
     tol: float = DEFAULT_TOL,
-    printed: bool = False,
 ) -> ReconstructionReport:
     """Sampling reconstruction of the transform of f from its values at the
     zeros, compared point-wise against the directly computed transform."""
     _check_order(alpha)
     if len(table) < 1:
         raise ValueError("zero table must contain at least one zero")
+    _check_scale(f)
     with mp.workdps(_workdigits(tol)):
+        lat = _Lattice(ctx, alpha, 1.0, tol)
         samples = [
-            q_hankel_transform(ctx, alpha, f, j, tol).value
+            lat.integral(f.values, lat.column(_mpf(j) * _mpf(j))).value
             for j in table.zeros
         ]
         lams = [_mpf(v) for v in lambdas]
-        direct = [
-            q_hankel_transform(ctx, alpha, f, lam, tol).value for lam in lams
-        ]
+        zs = [lam * lam for lam in lams]
+        direct = [lat.integral(f.values, lat.column(z)).value for z in zs]
         recon = []
-        for lam in lams:
+        for lam, z in zip(lams, zs):
+            num = eval_J(ctx, _mpf(alpha), 1, z, tol).value
             s = mp.mpf(0)
             for k, fj in enumerate(samples):
-                s += fj * sampling_kernel(
-                    ctx, alpha, table, k, lam, tol, printed
-                )
+                s += fj * _kernel(table, k, lam, z, num)
             recon.append(+s)
         worst = mp.mpf(0)
         for d, r in zip(direct, recon):

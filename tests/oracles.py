@@ -1,14 +1,24 @@
 """Independent oracles used by the test suite.
 
-Everything here is computed without touching the package's series engine:
-the big q-Bessel series is summed directly from its printed definition
-with mpmath's q-Pochhammer, and zeros are located by a dense float64 grid
-scan (numpy Horner) followed by bisection on the brute-force series.
+Everything but the last section is computed without touching the
+package's series engine: the big q-Bessel series is summed directly from
+its printed definition with mpmath's q-Pochhammer, and zeros are located
+by a dense float64 grid scan (numpy Horner) followed by bisection on the
+brute-force series.
 Frozen constants below were produced by these same routines at 40 digits.
+
+The last section restates three of the paper's displays that turned out
+false (the product-integral closed form, the norm formula and the sampling
+kernel as printed).  They are built on the package's own evaluations, at
+the package's working precision, so that the tests show that the displays,
+not the evaluation, disagree with the direct computation.
 """
 
 import mpmath as mp
 import numpy as np
+
+from bigqbessel import eval_dJ_dz, eval_J, fused_product_ratio
+from bigqbessel.qcalc import _mpf, _workdigits
 
 # --- frozen constants (independent brute-force series, 40-digit run) ----
 
@@ -120,3 +130,51 @@ def dense_grid_zeros(q, alpha, count, lam_lo, lam_hi, n=400000, dps=40):
                     a, fa = m, fm
             out.append((a + b) / 2)
     return out
+
+
+# --- displays as printed in the paper (shown false by the tests) --------
+
+
+def _closed_form_constants(q, am, a, tol):
+    """C = (1-q)(1-q^(2a+2))/q^(2a+2) and W(a) of the product integral."""
+    C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
+    W = fused_product_ratio(a * a, 0, 2 * am + 2, q, tol)
+    return C, W
+
+
+def lommel_rhs_printed(ctx, alpha, a, lam, mu, tol):
+    """The product-integral closed form as printed: C W(a) B(a/q, a; mu, lam),
+    with the bracket orientation reversed and no x -> 0 boundary term."""
+    q, am, a, lam, mu = (_mpf(v) for v in (ctx.q, alpha, a, lam, mu))
+    with mp.workdps(_workdigits(tol)):
+        z_lam = lam * lam
+        z_mu = mu * mu
+        C, W = _closed_form_constants(q, am, a, tol)
+        bracket = eval_J(ctx, am + 1, a / q, z_mu, tol).value * eval_J(
+            ctx, am, a, z_lam, tol
+        ).value - eval_J(ctx, am + 1, a / q, z_lam, tol).value * eval_J(
+            ctx, am, a, z_mu, tol
+        ).value
+        return C * W * bracket
+
+
+def norm_sq_closed_printed(ctx, alpha, zero, deriv, tol, a=1.0):
+    """The norm formula as printed: C/(2 j_k) W(a) J_{alpha+1}(a/q, j_k)
+    times the lambda-derivative, without the x -> 0 boundary derivative
+    terms and with the opposite sign."""
+    q, am, a, zero, deriv = (_mpf(v) for v in (ctx.q, alpha, a, zero, deriv))
+    with mp.workdps(_workdigits(tol)):
+        C, W = _closed_form_constants(q, am, a, tol)
+        jp_aq = eval_J(ctx, am + 1, a / q, zero * zero, tol).value
+        return C / (2 * zero) * W * jp_aq * deriv
+
+
+def sampling_kernel_printed(ctx, alpha, table, k, lam, tol):
+    """The sampling kernel as printed, built on J_{alpha+1} and its
+    lambda-derivative at j_k in place of J_alpha."""
+    am, lam, jk = _mpf(alpha), _mpf(lam), _mpf(table.zeros[k])
+    with mp.workdps(_workdigits(tol)):
+        z = lam * lam
+        deriv = 2 * jk * eval_dJ_dz(ctx, am + 1, 1, jk * jk, tol).value
+        num = eval_J(ctx, am + 1, 1, z, tol).value
+        return 2 * jk * num / ((z - jk * jk) * deriv)

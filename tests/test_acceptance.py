@@ -234,8 +234,8 @@ def test_criterion_6_kernel_delta(ctx05, table05, ctx08, table08):
                 )
                 worst = max(worst, abs(s - (1 if k == m else 0)))
     printed_violation = abs(
-        sampling_kernel(
-            ctx05, 0.0, table05, 0, table05.zeros[1], 1e-13, printed=True
+        oracles.sampling_kernel_printed(
+            ctx05, 0.0, table05, 0, table05.zeros[1], 1e-13
         )
     )
     ok = worst <= 1e-8 and printed_violation > 1e-3

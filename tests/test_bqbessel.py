@@ -189,3 +189,17 @@ def test_big_sin_at_z_zero():
     ctx = QContext(0.5, 0.0)
     got = eval_big_sin(ctx, 1.0, 0.0).value
     assert abs(got - 2) <= 1e-13  # 1/(1-q) at q = 1/2
+
+
+@pytest.mark.parametrize(
+    "q,x,z", [(0.8, 1.0, 4.0), (0.95, 1.5, 2.0), (0.3, 1.7, 24.0)]
+)
+def test_big_sin_abs_error_bounds_scaled_value(q, x, z):
+    # done in double precision, the 1/(1-q) scaling leaves an error near
+    # 1e-16 here, far beyond an abs_error near 1e-34; at q = 0.3, 1 - q
+    # itself needs 54 bits
+    sv = eval_big_sin(QContext(q, 0.0), x, z, tol=1e-30)
+    with mp.workdps(120):
+        qm = mp.mpf(q)
+        want = oracles.brute_J(0.5, x, z, qm * qm, dps=120) / (1 - qm)
+        assert abs(sv.value - want) <= sv.abs_error

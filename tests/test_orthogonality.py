@@ -21,6 +21,7 @@ from bigqbessel import (
     QContext,
     QLatticeSignal,
     eval_J,
+    find_zeros,
     fourier_coefficients,
     fourier_partial_sum,
     gram_matrix,
@@ -28,6 +29,7 @@ from bigqbessel import (
     lommel_integral_direct,
     lommel_rhs_closed,
     norm_sq_closed,
+    q_hankel_transform,
     q_integral,
     weight,
 )
@@ -37,6 +39,8 @@ from bigqbessel.errors import (
     OrderOutOfRange,
     ScaleMismatch,
 )
+
+from bigqbessel.qcalc import _workdigits
 
 import oracles
 
@@ -78,8 +82,7 @@ def test_product_integral_printed_variant_fails(ctx05):
     # the printed right-hand side has the bracket orientation reversed
     # and omits the x -> 0 boundary term; it does not match the integral
     d = lommel_integral_direct(ctx05, 0.0, 1.0, 0.5, 1.0, 1e-13).value
-    p = lommel_rhs_closed(ctx05, 0.0, 1.0, 0.5, 1.0, 1e-13,
-                          printed=True).value
+    p = oracles.lommel_rhs_printed(ctx05, 0.0, 1.0, 0.5, 1.0, 1e-13)
     assert abs(d - p) / max(1, abs(p)) > 1e-2
 
 
@@ -113,9 +116,8 @@ def test_norm_closed_matches_direct_integral(ctx05, table05):
 
 
 def test_norm_closed_printed_variant_disagrees(ctx05, table05):
-    got = norm_sq_closed(
-        ctx05, 0.0, table05.zeros[0], table05.derivs[0], tol=1e-13,
-        printed=True,
+    got = oracles.norm_sq_closed_printed(
+        ctx05, 0.0, table05.zeros[0], table05.derivs[0], tol=1e-13
     )
     assert abs(got - oracles.NORMS_Q05_A0[0]) > 1e-3
 
@@ -147,6 +149,66 @@ def test_gram_offdiagonal_is_order_one(ctx05, table05):
     # entries at O(1) relative size (documented; see acceptance notes)
     rep = gram_matrix(ctx05, 0.0, table05, tol=1e-13)
     assert rep.max_offdiag_rel > 0.1
+
+
+@pytest.mark.parametrize("q,alpha", [(0.5, 0.0), (0.3, 1.0)])
+def test_lattice_sums_match_direct_paths(q, alpha):
+    # Gram entries, Fourier coefficients and transforms come from one
+    # shared lattice sum; the oracle is the direct path: a q_integral of
+    # w J J per pair, and an explicit loop over the signal, each with the
+    # same order of multiplication, so the results agree bit for bit
+    tol = 1e-13
+    ctx = QContext(q, alpha)
+    table = find_zeros(ctx, alpha, 4, tol=1e-12)
+    f = QLatticeSignal(values=[1.0, 0.0, -0.5, 0.25], a=1.0)
+    lams = [mp.mpf("0.7"), table.zeros[1]]
+    rep = gram_matrix(ctx, alpha, table, tol)
+    coeffs = fourier_coefficients(ctx, alpha, f, table, tol)
+    transforms = [q_hankel_transform(ctx, alpha, f, lam, tol) for lam in lams]
+    # q_hankel_transform squares lambda before raising the precision
+    lam_zs = [lam * lam for lam in lams]
+    qm = mp.mpf(q)
+    am = mp.mpf(alpha)
+    with mp.workdps(_workdigits(tol)):
+        zs = [j * j for j in table.zeros]
+
+        def wjj(x, zi, zj):
+            return (
+                weight(ctx, alpha, x, tol)
+                * eval_J(ctx, am + 1, x, zi, tol).value
+                * eval_J(ctx, am + 1, x, zj, tol).value
+            )
+
+        for i in range(4):
+            for j in range(i, 4):
+                direct = q_integral(
+                    lambda x: wjj(x, zs[i], zs[j]), 1.0, q, tol
+                ).value
+                assert rep.matrix[i][j]._mpf_ == direct._mpf_
+                assert rep.matrix[j][i]._mpf_ == direct._mpf_
+
+        def signal_sum(z):
+            s = mp.mpf(0)
+            for m, fv in enumerate(f.values):
+                fv = mp.mpf(fv)
+                if fv == 0:
+                    continue
+                x = qm**m
+                s += (
+                    weight(ctx, alpha, x, tol)
+                    * fv
+                    * eval_J(ctx, am + 1, x, z, tol).value
+                    * qm**m
+                )
+            return (1 - qm) * s
+
+        for k in range(4):
+            mu = norm_sq_closed(
+                ctx, alpha, table.zeros[k], table.derivs[k], 1.0, tol
+            )
+            assert coeffs[k]._mpf_ == (signal_sum(zs[k]) / mu)._mpf_
+        for sv, z in zip(transforms, lam_zs):
+            assert sv.value._mpf_ == signal_sum(z)._mpf_
 
 
 def test_gram_rejects_low_order(ctx05, table05):

@@ -26,6 +26,8 @@ from bigqbessel.errors import (
     ScaleMismatch,
 )
 
+import oracles
+
 
 def test_delta_signal_transform_closed_form(ctx05, ctx08):
     # delta at x = 1 with value 1/(1-q): the transform has the closed
@@ -105,8 +107,8 @@ def test_kernel_near_pole_branch_is_continuous(ctx05, table05):
 def test_kernel_printed_variant_violates_delta(ctx05, table05):
     # with the kernel built from the alpha+1 evaluation (as printed), the
     # off-diagonal values are O(1): the family does not interpolate
-    s = sampling_kernel(
-        ctx05, 0.0, table05, 0, table05.zeros[1], tol=1e-13, printed=True
+    s = oracles.sampling_kernel_printed(
+        ctx05, 0.0, table05, 0, table05.zeros[1], tol=1e-13
     )
     assert abs(s) > 0.1
 
