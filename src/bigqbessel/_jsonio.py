@@ -13,13 +13,21 @@ from typing import Iterable, List
 
 import mpmath as mp
 
+from .errors import UnprintableValue
+
 __all__ = ["format_float", "dumps", "loads", "rows_to_csv"]
 
 
 def format_float(x) -> str:
     """A float or mpf rendered with 17 significant digits (valid JSON)."""
     if isinstance(x, mp.mpf):
-        return mp.nstr(x, 17)
+        try:
+            return mp.nstr(x, 17)
+        except ValueError as exc:
+            _, _, exp, bc = x._mpf_
+            raise UnprintableValue(
+                f"cannot print a {bc}-bit value near 2^{exp + bc}: {exc}"
+            ) from exc
     return "%.17g" % float(x)
 
 

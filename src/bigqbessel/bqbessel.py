@@ -47,42 +47,66 @@ __all__ = [
 ]
 
 
-def _series_value(alpha, x, z, q, tol, terms_max) -> SeriesValue:
-    """Sum the J series with adaptive precision."""
-    qf = float(q)
-    xf = float(x)
-    zf = float(z)
-    af = float(alpha)
+def _log10_abs(v) -> float:
+    """log10|v| as a float, also for an mpf beyond the double range;
+    -inf at v = 0."""
+    f = abs(float(v))
+    if 0 < f < math.inf:
+        return math.log10(f)
+    return float(mp.log10(abs(_mpf(v)))) if v else -math.inf
 
-    def ratio_log(k: int) -> float:
-        if zf == 0:
-            return -1e9
-        num = (
-            2 * k * math.log10(qf)
-            + 2 * (af + 1) * math.log10(qf)
-            + math.log10(xf * xf + qf ** (2 * k))
-            + math.log10(abs(zf))
+
+def _j_ratio(alpha, x, z, q):
+    """The term ratio r(k) = t_{k+1}/t_k of the J series,
+
+        r(k) = -q^(2k) q^(2alpha+2) (x^2 + q^(2k)) z
+               / ((1 - q^(2k+2)) (1 - q^(2alpha+2+2k))),
+
+    as the pair of callables sum_series takes, each of (k, lead):
+    log10|lead r(k)| in floats for the precision pass, and lead r(k) in
+    mpf for the exact pass.  The mpf product takes lead in its first
+    multiplication, and skips it when no lead is given.
+    log10(x^2 + q^(2k)) is a log-sum of 2 log10|x| and 2k log10 q, so the
+    float pass does not overflow for large |x|.
+    """
+    qf = float(q)
+    af = float(alpha)
+    lq = math.log10(qf)
+    lx2 = 2 * _log10_abs(x)
+    lz = _log10_abs(z)
+
+    def log_ratio(k: int, lead: float = 1.0) -> float:
+        lp = 2 * k * lq
+        hi, lo = max(lx2, lp), min(lx2, lp)
+        return (
+            math.log10(lead)
+            + lp
+            + 2 * (af + 1) * lq
+            + hi
+            + math.log10(1 + 10 ** (lo - hi))
+            + lz
+            - math.log10(1 - qf ** (2 * k + 2))
+            - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
-        den = math.log10(1 - qf ** (2 * k + 2)) + math.log10(
-            1 - qf ** (2 * af + 2 + 2 * k)
-        )
-        return num - den
 
     qm = _mpf(q)
     xm = _mpf(x)
     zm = _mpf(z)
     am = _mpf(alpha)
 
-    def ratio_m(k: int) -> mp.mpf:
+    def ratio(k: int, lead=None) -> mp.mpf:
+        t = -(qm ** (2 * k))
+        if lead is not None:
+            t *= lead
         return (
-            -(qm ** (2 * k))
+            t
             * qm ** (2 * (am + 1))
             * (xm * xm + qm ** (2 * k))
             * zm
             / ((1 - qm ** (2 * k + 2)) * (1 - qm ** (2 * am + 2 + 2 * k)))
         )
 
-    return sum_series(0.0, ratio_log, lambda: mp.mpf(1), ratio_m, tol, terms_max)
+    return log_ratio, ratio
 
 
 def eval_J(
@@ -99,7 +123,8 @@ def eval_J(
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     if z == 0:
         return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
-    return _series_value(alpha, x, z, ctx.q, tol, terms_max)
+    log_ratio, ratio = _j_ratio(alpha, x, z, ctx.q)
+    return sum_series(0.0, log_ratio, lambda: mp.mpf(1), ratio, tol, terms_max)
 
 
 def eval_dJ_dz(
@@ -117,100 +142,22 @@ def eval_dJ_dz(
     """
     if alpha <= -1:
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
-    qf = float(ctx.q)
-    xf = float(x)
-    zf = float(z)
-    af = float(alpha)
-    qm = _mpf(ctx.q)
-    xm = _mpf(x)
-    zm = _mpf(z)
-    am = _mpf(alpha)
-
-    # First derivative term (k = 1): c_1 = -q^(2(alpha+1)) P_1(x)
-    # / ((1 - q^2)(1 - q^(2alpha+2))).
-    def term0_m() -> mp.mpf:
-        return (
-            -(qm ** (2 * (am + 1)))
-            * (xm * xm + 1)
-            / ((1 - qm**2) * (1 - qm ** (2 * am + 2)))
-        )
-
-    log_t0 = (
-        2 * (af + 1) * math.log10(qf)
-        + math.log10(xf * xf + 1)
-        - math.log10(1 - qf * qf)
-        - math.log10(1 - qf ** (2 * af + 2))
+    # d_k = k c_k z^(k-1), with the loop index n = k - 1: the first term
+    # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  The
+    # inputs are converted to mpf once for both ratios.
+    am, xm, qm = _mpf(alpha), _mpf(x), _mpf(ctx.q)
+    log_c1, c1 = _j_ratio(am, xm, 1, qm)
+    if z == 0:
+        return SeriesValue(c1(0), mp.mpf(0), 1)
+    log_ratio, ratio = _j_ratio(am, xm, z, qm)
+    return sum_series(
+        log_c1(0),
+        lambda n: log_ratio(n + 1, (n + 2) / (n + 1)),
+        lambda: c1(0),
+        lambda n: ratio(n + 1, mp.mpf(n + 2) / (n + 1)),
+        tol,
+        terms_max,
     )
-
-    # d_{k+1}/d_k for d_k = k c_k z^(k-1), with the loop index n starting
-    # at 0 for the k=1 term: ratio(n) relates k = n+1 to k = n+2.
-    def ratio_m(n: int) -> mp.mpf:
-        k = n + 1
-        return (
-            mp.mpf(k + 1)
-            / k
-            * -(qm ** (2 * k))
-            * qm ** (2 * (am + 1))
-            * (xm * xm + qm ** (2 * k))
-            * zm
-            / ((1 - qm ** (2 * k + 2)) * (1 - qm ** (2 * am + 2 + 2 * k)))
-        )
-
-    def ratio_log(n: int) -> float:
-        if zf == 0:
-            return -1e9
-        k = n + 1
-        return (
-            math.log10((k + 1) / k)
-            + 2 * k * math.log10(qf)
-            + 2 * (af + 1) * math.log10(qf)
-            + math.log10(xf * xf + qf ** (2 * k))
-            + math.log10(abs(zf))
-            - math.log10(1 - qf ** (2 * k + 2))
-            - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
-        )
-
-    if z == 0:
-        return SeriesValue(term0_m(), mp.mpf(0), 1)
-    return sum_series(log_t0, ratio_log, term0_m, ratio_m, tol, terms_max)
-
-
-def _trig_series(x, z, q, tol, terms_max, which: str) -> SeriesValue:
-    """The two displayed trigonometric series over (q; q)_{2k} factorials,
-    used as an independent evaluation path for the trig functions."""
-    qf = float(q)
-    xf = float(x)
-    zf = float(z)
-    qm = _mpf(q)
-    xm = _mpf(x)
-    zm = _mpf(z)
-    # cos: terms (-1)^k q^(k(k-1)+k) P_k(x) z^k / (q; q)_{2k}
-    # sin: terms (-1)^k q^(k(k-1)+3k) P_k(x) z^k / (q; q)_{2k+1}
-    shift = 1 if which == "cos" else 3
-
-    def ratio_m(k: int) -> mp.mpf:
-        d1 = 1 - qm ** (2 * k + shift)  # (1-q^(2k+1)) cos / (1-q^(2k+3)) sin
-        d2 = 1 - qm ** (2 * k + 2)
-        return -(qm ** (2 * k + shift)) * (xm * xm + qm ** (2 * k)) * zm / (d1 * d2)
-
-    def ratio_log(k: int) -> float:
-        if zf == 0:
-            return -1e9
-        return (
-            (2 * k + shift) * math.log10(qf)
-            + math.log10(xf * xf + qf ** (2 * k))
-            + math.log10(abs(zf))
-            - math.log10(1 - qf ** (2 * k + shift))
-            - math.log10(1 - qf ** (2 * k + 2))
-        )
-
-    def term0_m() -> mp.mpf:
-        return mp.mpf(1) if which == "cos" else 1 / (1 - qm)
-
-    if z == 0:
-        return SeriesValue(term0_m(), mp.mpf(0), 1)
-    lt0 = 0.0 if which == "cos" else -math.log10(1 - qf)
-    return sum_series(lt0, ratio_log, term0_m, ratio_m, tol, terms_max)
 
 
 def eval_big_cos(
@@ -219,15 +166,8 @@ def eval_big_cos(
     z,
     tol: float = DEFAULT_TOL,
     terms_max: int = TERMS_MAX,
-    method: str = "order",
 ) -> SeriesValue:
-    """Big q-cosine cos(x, lambda; q^2) = J_{-1/2}(x, lambda; q^2).
-
-    method="order" evaluates via eval_J at alpha = -1/2; method="display"
-    uses the displayed series over (q; q)_{2k} factorials.
-    """
-    if method == "display":
-        return _trig_series(x, z, ctx.q, tol, terms_max, "cos")
+    """Big q-cosine cos(x, lambda; q^2) = J_{-1/2}(x, lambda; q^2)."""
     return eval_J(ctx, -0.5, x, z, tol, terms_max)
 
 
@@ -237,15 +177,12 @@ def eval_big_sin(
     z,
     tol: float = DEFAULT_TOL,
     terms_max: int = TERMS_MAX,
-    method: str = "order",
 ) -> SeriesValue:
     """Big q-sine sin(x, lambda; q^2) = J_{1/2}(x, lambda; q^2) / (1 - q).
 
     The 1/(1-q) scaling is done at the working precision for tol, and
     abs_error includes its rounding.
     """
-    if method == "display":
-        return _trig_series(x, z, ctx.q, tol, terms_max, "sin")
     sv = eval_J(ctx, 0.5, x, z, tol, terms_max)
     with mp.workdps(_workdigits(tol)):
         pref = 1 / (1 - _mpf(ctx.q))
@@ -357,7 +294,6 @@ IDENTITY_KINDS = (
     "recurrence-shifted",
     "trig-dq",
     "trig-dqinv",
-    "trig-dqinv-printed",
 )
 
 
@@ -378,9 +314,9 @@ def identity_residual(
       trig-dq             D_q cos = -z q x/(1-q) * sin
       trig-dqinv          D_{q^{-1}}[w(2,3) sin] = x q/(1-q) w(2,1) cos,
                           the specialization of dqinv-order-lower at
-                          alpha = -1/2
-      trig-dqinv-printed  same LHS against the displayed constant
-                          -x q (1-q)^2; reported as-is, not corrected
+                          alpha = -1/2 (the constant -x q (1-q)^2 of
+                          the paper's display is restated in the
+                          test oracles)
     """
     q = _mpf(ctx.q)
     a = _mpf(alpha)
@@ -441,7 +377,7 @@ def identity_residual(
             rhs = (
                 -zm * q * xm / (1 - q) * eval_big_sin(ctx, xm, zm, tol).value
             )
-        elif kind in ("trig-dqinv", "trig-dqinv-printed"):
+        elif kind == "trig-dqinv":
             def g(t):
                 t = _mpf(t)
                 return (
@@ -451,11 +387,7 @@ def identity_residual(
 
             lhs = q_derivative_inv(g, xm, q)
             w = fused_product_ratio(xm * xm, 2, 1, q, tol)
-            cosv = eval_big_cos(ctx, xm, zm, tol).value
-            if kind == "trig-dqinv":
-                rhs = xm * q / (1 - q) * w * cosv
-            else:
-                rhs = -xm * q * (1 - q) ** 2 * w * cosv
+            rhs = xm * q / (1 - q) * w * eval_big_cos(ctx, xm, zm, tol).value
         else:
             raise ValueError(
                 f"unknown identity kind {kind!r}; expected one of "

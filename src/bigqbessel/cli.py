@@ -9,6 +9,7 @@ verification failure, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import List
@@ -18,7 +19,7 @@ import mpmath as mp
 from . import _jsonio
 from .bqbessel import eval_J, identity_residual
 from .defaults import DEFAULT_TOL, Q_MAX, RESIDUAL_TOL, TERMS_MAX
-from .errors import BigQBesselError
+from .errors import BigQBesselError, MalformedInput
 from .orthogonality import (
     QLatticeSignal,
     fourier_coefficients,
@@ -124,6 +125,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _finite_mpf(v, error) -> mp.mpf:
+    try:
+        m = mp.mpf(v)
+    except (TypeError, ValueError):
+        m = mp.nan
+    if not mp.isfinite(m):
+        error(f"--lambdas: expected finite numbers; got {v!r}")
+    return m
+
+
 def _parse_lambdas(spec: str, error) -> List[mp.mpf]:
     spec = spec.strip()
     if spec.startswith("["):
@@ -133,12 +144,15 @@ def _parse_lambdas(spec: str, error) -> List[mp.mpf]:
             error(f"--lambdas: invalid JSON array {spec!r}")
         if not isinstance(vals, list) or not vals:
             error("--lambdas: expected a non-empty JSON array")
-        return [mp.mpf(v) for v in vals]
+        return [_finite_mpf(v, error) for v in vals]
     parts = spec.split(":")
     if len(parts) != 3:
         error(f"--lambdas: expected start:stop:count, got {spec!r}")
-    start, stop = mp.mpf(parts[0]), mp.mpf(parts[1])
-    n = int(parts[2])
+    start, stop = _finite_mpf(parts[0], error), _finite_mpf(parts[1], error)
+    try:
+        n = int(parts[2])
+    except ValueError:
+        error(f"--lambdas: count must be an integer; got {parts[2]!r}")
     if n < 1:
         error("--lambdas: count must be >= 1")
     if n == 1:
@@ -160,6 +174,10 @@ def parse_args(argv: List[str]) -> RunPlan:
     """Validate argv into a RunPlan; exits with code 2 on usage errors."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
+    for name, v in vars(ns).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            opt = "lambda" if name == "lam" else name
+            parser.error(f"--{opt} must be finite; got {v}")
     if not 0 < ns.q <= Q_MAX:
         parser.error(f"--q must lie in (0, {Q_MAX}]; got {ns.q}")
     if ns.tol <= 0:
@@ -177,15 +195,18 @@ def parse_args(argv: List[str]) -> RunPlan:
     return RunPlan(ns.command, params, ns.format)
 
 
-def _load_signal(path: str) -> QLatticeSignal:
+def _load(path: str, from_dict):
+    """from_dict of the JSON document in the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return QLatticeSignal.from_dict(_jsonio.loads(fh.read()))
+        try:
+            return from_dict(_jsonio.loads(fh.read()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _get_table(ctx: QContext, p: dict) -> ZeroTable:
     if p.get("zeros"):
-        with open(p["zeros"], "r", encoding="utf-8") as fh:
-            return ZeroTable.from_dict(_jsonio.loads(fh.read()))
+        return _load(p["zeros"], ZeroTable.from_dict)
     return find_zeros(ctx, p["alpha"], p["count"], tol=RESIDUAL_TOL)
 
 
@@ -356,7 +377,7 @@ def execute(plan: RunPlan) -> int:
                 out = _jsonio.dumps(rep.to_dict()) + "\n"
         elif plan.command == "fourier":
             table = _get_table(ctx, p)
-            sig = _load_signal(p["signal"])
+            sig = _load(p["signal"], QLatticeSignal.from_dict)
             coeffs = fourier_coefficients(ctx, p["alpha"], sig, table, p["tol"])
             if plan.output_format == "csv":
                 rows = [[k + 1, c] for k, c in enumerate(coeffs)]
@@ -365,7 +386,7 @@ def execute(plan: RunPlan) -> int:
                 out = _jsonio.dumps({"coefficients": coeffs}) + "\n"
         elif plan.command == "sample":
             table = _get_table(ctx, p)
-            sig = _load_signal(p["signal"])
+            sig = _load(p["signal"], QLatticeSignal.from_dict)
             rep = reconstruct(
                 ctx, p["alpha"], sig, table, p["lambdas"], p["tol"]
             )

@@ -43,10 +43,6 @@ class ZeroSpectralParameter(BigQBesselError):
 
 # --- zerofinder ----------------------------------------------------------
 
-class OrderOutOfRange(BigQBesselError):
-    """alpha is outside the range for which the operation is defined."""
-
-
 class BracketingFailure(BigQBesselError):
     """The geometric scan ceiling was reached before the requested number
     of zeros was bracketed.  This signals that the scan ceiling must be
@@ -83,3 +79,16 @@ class IndexOutOfRange(BigQBesselError):
 class AtPole(BigQBesselError):
     """Evaluation point coincides (within tolerance) with a zero of the
     denominator function."""
+
+
+# --- cli -----------------------------------------------------------------
+
+class MalformedInput(BigQBesselError):
+    """An input file is not valid JSON, or lacks a field the document
+    needs."""
+
+
+class UnprintableValue(BigQBesselError):
+    """mpmath cannot render a value in decimal: its conversion of a
+    high-precision value far from 1 exceeds Python's limit on int-to-str
+    digits."""

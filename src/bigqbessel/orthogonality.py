@@ -33,12 +33,7 @@ import mpmath as mp
 
 from .bqbessel import eval_dJ_dz, eval_J
 from .defaults import DEFAULT_TOL
-from .errors import (
-    LengthMismatch,
-    NotAZero,
-    OrderOutOfRange,
-    ScaleMismatch,
-)
+from .errors import InvalidOrder, LengthMismatch, NotAZero, ScaleMismatch
 from .qcalc import (
     QContext,
     SeriesValue,
@@ -325,7 +320,7 @@ def gram_matrix(
     symmetric in the two indices).
     """
     if alpha <= -0.5:
-        raise OrderOutOfRange(f"Gram analysis requires alpha > -1/2; got {alpha}")
+        raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
     n = len(table)
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, a, tol)

@@ -29,7 +29,7 @@ import mpmath as mp
 
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
-from .errors import AtPole, IndexOutOfRange, OrderOutOfRange, ScaleMismatch
+from .errors import AtPole, IndexOutOfRange, InvalidOrder, ScaleMismatch
 from .orthogonality import QLatticeSignal, _Lattice
 from .qcalc import QContext, SeriesValue, _mpf, _workdigits
 from .zerofinder import ZeroTable
@@ -46,7 +46,7 @@ __all__ = [
 
 def _check_order(alpha) -> None:
     if alpha <= -1.5:
-        raise OrderOutOfRange(f"sampling requires alpha > -3/2; got {alpha}")
+        raise InvalidOrder(f"sampling requires alpha > -3/2; got {alpha}")
     if alpha <= -0.5:
         warnings.warn(
             "alpha <= -1/2: zero ordering and the underpinning analysis "

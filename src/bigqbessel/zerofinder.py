@@ -25,7 +25,7 @@ from .defaults import (
     Z_START,
 )
 from .bqbessel import eval_dJ_dz, eval_J
-from .errors import BracketingFailure, NoSignChange, OrderOutOfRange
+from .errors import BracketingFailure, InvalidOrder, NoSignChange
 from .qcalc import QContext
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
@@ -212,7 +212,7 @@ def find_zeros(
     tol is the absolute residual target on |J| at each accepted zero.
     """
     if alpha <= -0.5:
-        raise OrderOutOfRange(
+        raise InvalidOrder(
             f"zero ordering requires alpha > -1/2; got {alpha}"
         )
     if count < 1:

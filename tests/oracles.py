@@ -7,9 +7,10 @@ by a dense float64 grid scan (numpy Horner) followed by bisection on the
 brute-force series.
 Frozen constants below were produced by these same routines at 40 digits.
 
-The last section restates three of the paper's displays that turned out
-false (the product-integral closed form, the norm formula and the sampling
-kernel as printed).  They are built on the package's own evaluations, at
+The last section restates four of the paper's displays that turned out
+false (the product-integral closed form, the norm formula, the sampling
+kernel and the D_{q^{-1}} constant of the big q-trig functions, as
+printed).  They are built on the package's own evaluations, at
 the package's working precision, so that the tests show that the displays,
 not the evaluation, disagree with the direct computation.
 """
@@ -17,7 +18,14 @@ not the evaluation, disagree with the direct computation.
 import mpmath as mp
 import numpy as np
 
-from bigqbessel import eval_dJ_dz, eval_J, fused_product_ratio
+from bigqbessel import (
+    eval_big_cos,
+    eval_big_sin,
+    eval_dJ_dz,
+    eval_J,
+    fused_product_ratio,
+    q_derivative_inv,
+)
 from bigqbessel.qcalc import _mpf, _workdigits
 
 # --- frozen constants (independent brute-force series, 40-digit run) ----
@@ -87,6 +95,66 @@ def brute_J(alpha, x, z, q2, dps=40):
                 * pk
                 * z ** k
                 / (mp.qp(q2, q2, k) * mp.qp(q2 ** (alpha + 1), q2, k))
+            )
+            s += t
+            if k > 4 and abs(t) < mp.mpf(10) ** (5 - dps) * max(1, abs(s)):
+                break
+        return +s
+
+
+def brute_dJ(alpha, x, z, q2, dps=40):
+    """Term-wise z-derivative of brute_J's printed series,
+    sum_k k t_k(x) z^(k-1), summed the same way."""
+    with mp.workdps(dps):
+        alpha = mp.mpf(alpha)
+        x = mp.mpf(x)
+        z = mp.mpf(z)
+        q2 = mp.mpf(q2)
+        s = mp.mpf(0)
+        for k in range(1, 500):
+            pk = mp.mpf(1)
+            for j in range(k):
+                pk *= x * x + q2 ** j
+            t = (
+                (-1) ** k
+                * k
+                * q2 ** (k * (k - 1) // 2)
+                * q2 ** (k * (alpha + 1))
+                * pk
+                * z ** (k - 1)
+                / (mp.qp(q2, q2, k) * mp.qp(q2 ** (alpha + 1), q2, k))
+            )
+            s += t
+            if k > 4 and abs(t) < mp.mpf(10) ** (5 - dps) * max(1, abs(s)):
+                break
+        return +s
+
+
+def brute_big_trig(which, x, z, q, dps=40):
+    """The displayed big q-trig series over (q; q)_{2k} factorials,
+
+        cos: sum_k (-1)^k q^(k(k-1)+k) P_k(x) z^k / (q; q)_{2k}
+        sin: sum_k (-1)^k q^(k(k-1)+3k) P_k(x) z^k / (q; q)_{2k+1}
+
+    with P_k(x) = prod_{j<k}(x^2 + q^{2j}), summed directly.  Entirely
+    independent of the package.
+    """
+    shift, odd = (1, 0) if which == "cos" else (3, 1)
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        z = mp.mpf(z)
+        q = mp.mpf(q)
+        s = mp.mpf(0)
+        for k in range(500):
+            pk = mp.mpf(1)
+            for j in range(k):
+                pk *= x * x + q ** (2 * j)
+            t = (
+                (-1) ** k
+                * q ** (k * (k - 1) + shift * k)
+                * pk
+                * z ** k
+                / mp.qp(q, q, 2 * k + odd)
             )
             s += t
             if k > 4 and abs(t) < mp.mpf(10) ** (5 - dps) * max(1, abs(s)):
@@ -178,3 +246,25 @@ def sampling_kernel_printed(ctx, alpha, table, k, lam, tol):
         deriv = 2 * jk * eval_dJ_dz(ctx, am + 1, 1, jk * jk, tol).value
         num = eval_J(ctx, am + 1, 1, z, tol).value
         return 2 * jk * num / ((z - jk * jk) * deriv)
+
+
+def trig_dqinv_printed_residual(ctx, x, z, tol):
+    """The D_{q^{-1}} relation of the big q-trig functions with the
+    printed constant: D_{q^{-1}}[w(2,3) sin](x) against
+    -x q (1-q)^2 w(2,1) cos(x), as identity_residual's relative residual.
+    The library's "trig-dqinv" kind has the corrected constant x q/(1-q).
+    """
+    q, xm, zm = _mpf(ctx.q), _mpf(x), _mpf(z)
+    with mp.workdps(_workdigits(tol)):
+
+        def g(t):
+            t = _mpf(t)
+            return (
+                fused_product_ratio(t * t, 2, 3, q, tol)
+                * eval_big_sin(ctx, t, zm, tol).value
+            )
+
+        lhs = q_derivative_inv(g, xm, q)
+        w = fused_product_ratio(xm * xm, 2, 1, q, tol)
+        rhs = -xm * q * (1 - q) ** 2 * w * eval_big_cos(ctx, xm, zm, tol).value
+        return abs(lhs - rhs) / max(1, abs(rhs))

@@ -207,3 +207,51 @@ def test_numeric_failure_missing_file(capsys):
 
 def test_float_formatting_17_digits():
     assert _jsonio.format_float(0.1) == "0.10000000000000001"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--q", "0.5", "--x", "1", "--z", "0.1", "--tol", "nan"],
+        ["eval", "--q", "0.5", "--alpha", "nan", "--x", "1", "--z", "0.1"],
+        ["eval", "--q", "0.5", "--x", "inf", "--z", "0.1"],
+        ["eval", "--q", "0.5", "--x", "1", "--z", "nan"],
+        ["sample", "--q", "0.5", "--signal", "sig.json", "--count", "2",
+         "--lambdas", "[0.3, NaN]"],
+    ],
+)
+def test_usage_error_non_finite_float(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_numeric_failure_unprintable_value(capsys):
+    # J_0(1, lambda; 1/4) at z = 1e80 is near 10^5274 and is held at about
+    # 17600 bits; mpmath's decimal conversion of such a value exceeds
+    # Python's limit on int-to-str digits
+    code = main(["eval", "--q", "0.5", "--x", "1", "--z", "1e80"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert "error:" in out.err
+
+
+@pytest.mark.parametrize("option", ["--signal", "--zeros"])
+@pytest.mark.parametrize(
+    "text", ['{"values": [1, 2]}', '{"a": 1.0, "values": [1.0'], ids=["key", "json"]
+)
+def test_numeric_failure_malformed_input_file(capsys, tmp_path, option, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    sig = tmp_path / "signal.json"
+    sig.write_text('{"a": 1.0, "values": [1.0, 0.5]}')
+    argv = ["fourier", "--q", "0.5"]
+    if option == "--signal":
+        argv += ["--signal", str(bad), "--count", "2"]
+    else:
+        argv += ["--signal", str(sig), "--zeros", str(bad)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error:" in err

@@ -34,9 +34,9 @@ from bigqbessel import (
     weight,
 )
 from bigqbessel.errors import (
+    InvalidOrder,
     LengthMismatch,
     NotAZero,
-    OrderOutOfRange,
     ScaleMismatch,
 )
 
@@ -212,7 +212,7 @@ def test_lattice_sums_match_direct_paths(q, alpha):
 
 
 def test_gram_rejects_low_order(ctx05, table05):
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(InvalidOrder):
         gram_matrix(ctx05, -0.5, table05)
 
 

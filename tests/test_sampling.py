@@ -22,7 +22,7 @@ from bigqbessel import (
 from bigqbessel.errors import (
     AtPole,
     IndexOutOfRange,
-    OrderOutOfRange,
+    InvalidOrder,
     ScaleMismatch,
 )
 
@@ -67,7 +67,7 @@ def test_transform_scale_and_order_checks(ctx05):
         q_hankel_transform(
             ctx05, 0.0, QLatticeSignal(values=[1.0], a=0.5), 1.0
         )
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(InvalidOrder):
         q_hankel_transform(
             ctx05, -1.5, QLatticeSignal(values=[1.0], a=1.0), 1.0
         )

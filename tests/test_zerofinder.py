@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from bigqbessel import QContext, ZeroTable, eval_J, find_zeros, refine_zero
-from bigqbessel.errors import BracketingFailure, NoSignChange, OrderOutOfRange
+from bigqbessel.errors import BracketingFailure, InvalidOrder, NoSignChange
 
 import oracles
 
@@ -103,7 +103,7 @@ def test_refine_zero_on_oracle_bracket(ctx05):
 
 
 def test_find_zeros_rejects_bad_inputs(ctx05):
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(InvalidOrder):
         find_zeros(ctx05, -0.5, 3)
     with pytest.raises(ValueError):
         find_zeros(ctx05, 0.0, 0)
