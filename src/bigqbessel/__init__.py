@@ -11,7 +11,6 @@ from .qcalc import (
     q_integral,
     qpoch,
     qpoch_inf,
-    qpoch_multi,
 )
 from .bqbessel import (
     IDENTITY_KINDS,
@@ -54,7 +53,6 @@ __all__ = [
     "QContext",
     "SeriesValue",
     "qpoch",
-    "qpoch_multi",
     "qpoch_inf",
     "basic_hypergeometric",
     "q_derivative",

@@ -21,6 +21,12 @@ __all__ = ["format_float", "dumps", "loads", "rows_to_csv"]
 def format_float(x) -> str:
     """A float or mpf rendered with 17 significant digits (valid JSON)."""
     if isinstance(x, mp.mpf):
+        # mpmath's decimal conversion scales by the exponent of the
+        # mantissa's last bit, so a large value held at many bits exceeds
+        # Python's int-to-str limit; 96 bits are ample for 17 digits and
+        # print the same digits unless within 2^-96 of a decimal tie
+        with mp.workprec(96):
+            x = +x
         try:
             return mp.nstr(x, 17)
         except ValueError as exc:

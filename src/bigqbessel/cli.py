@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional
 
 import mpmath as mp
 
@@ -31,15 +31,7 @@ from .qcalc import QContext, fused_product_ratio
 from .sampling import q_hankel_transform, reconstruct, sampling_kernel
 from .zerofinder import ZeroTable, find_zeros
 
-__all__ = ["RunPlan", "VerifyReport", "parse_args", "execute", "main"]
-
-COMMANDS = ("eval", "zeros", "gram", "fourier", "sample", "verify")
-SUITES = ("identities", "orthogonality", "sampling", "all")
-SUITE_THRESHOLDS = {
-    "identities": 1e-9,
-    "orthogonality": 1e-8,
-    "sampling": 1e-6,
-}
+__all__ = ["RunPlan", "parse_args", "execute", "main"]
 
 
 @dataclass(frozen=True)
@@ -49,150 +41,42 @@ class RunPlan:
     output_format: str = "json"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    entries: List[dict] = field(default_factory=list)
-    max_residual: float = 0.0
-    passed: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "entries": self.entries,
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-        }
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="bigqbessel",
-        description="Big q-Bessel evaluation, zeros, Gram/Fourier analysis, "
-        "sampling reconstruction, and identity verification.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, alpha_default=0.0):
-        sp.add_argument("--q", type=float, required=True)
-        sp.add_argument("--alpha", type=float, default=alpha_default)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        sp.add_argument(
-            "--format", choices=("json", "csv"), default="json"
-        )
-
-    sp = sub.add_parser("eval", help="evaluate J_alpha(x, lambda; q^2)")
-    common(sp)
-    sp.add_argument("--x", type=float, required=True)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--lambda", dest="lam", type=float)
-    g.add_argument("--z", type=float)
-    sp.add_argument("--terms-max", type=int, default=TERMS_MAX)
-
-    sp = sub.add_parser("zeros", help="table of positive zeros")
-    common(sp)
-    sp.add_argument("--count", type=int, required=True)
-
-    sp = sub.add_parser("gram", help="Gram matrix of the zero family")
-    common(sp)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--zeros", type=str, help="path to a zeros JSON table")
-    g.add_argument("--count", type=int, help="compute this many zeros first")
-
-    sp = sub.add_parser("fourier", help="expansion coefficients of a signal")
-    common(sp)
-    sp.add_argument("--signal", type=str, required=True)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--zeros", type=str)
-    g.add_argument("--count", type=int)
-
-    sp = sub.add_parser("sample", help="sampling reconstruction report")
-    common(sp)
-    sp.add_argument("--signal", type=str, required=True)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--zeros", type=str)
-    g.add_argument("--count", type=int)
-    sp.add_argument(
-        "--lambdas",
-        type=str,
-        required=True,
-        help='JSON array "[0.3,0.7]" or linear range "start:stop:count"',
-    )
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
-    sp.add_argument("--suite", choices=SUITES, default="all")
-    return p
-
-
-def _finite_mpf(v, error) -> mp.mpf:
+def _finite_mpf(v) -> mp.mpf:
     try:
         m = mp.mpf(v)
     except (TypeError, ValueError):
         m = mp.nan
     if not mp.isfinite(m):
-        error(f"--lambdas: expected finite numbers; got {v!r}")
+        raise argparse.ArgumentTypeError(f"expected finite numbers; got {v!r}")
     return m
 
 
-def _parse_lambdas(spec: str, error) -> List[mp.mpf]:
+def _lambdas(spec: str) -> List[mp.mpf]:
+    """Type of --lambdas: a JSON array or a linear range start:stop:count."""
     spec = spec.strip()
     if spec.startswith("["):
         try:
             vals = _jsonio.loads(spec)
         except ValueError:
-            error(f"--lambdas: invalid JSON array {spec!r}")
+            raise argparse.ArgumentTypeError(f"invalid JSON array {spec!r}") from None
         if not isinstance(vals, list) or not vals:
-            error("--lambdas: expected a non-empty JSON array")
-        return [_finite_mpf(v, error) for v in vals]
+            raise argparse.ArgumentTypeError("expected a non-empty JSON array")
+        return [_finite_mpf(v) for v in vals]
     parts = spec.split(":")
     if len(parts) != 3:
-        error(f"--lambdas: expected start:stop:count, got {spec!r}")
-    start, stop = _finite_mpf(parts[0], error), _finite_mpf(parts[1], error)
+        raise argparse.ArgumentTypeError(f"expected start:stop:count, got {spec!r}")
+    start, stop = _finite_mpf(parts[0]), _finite_mpf(parts[1])
     try:
         n = int(parts[2])
     except ValueError:
-        error(f"--lambdas: count must be an integer; got {parts[2]!r}")
+        raise argparse.ArgumentTypeError(
+            f"count must be an integer; got {parts[2]!r}"
+        ) from None
     if n < 1:
-        error("--lambdas: count must be >= 1")
+        raise argparse.ArgumentTypeError("count must be >= 1")
     if n == 1:
         return [start]
     return [start + (stop - start) * k / (n - 1) for k in range(n)]
-
-
-ALPHA_FLOOR = {
-    "eval": -1.0,
-    "zeros": -0.5,
-    "gram": -0.5,
-    "fourier": -0.5,
-    "sample": -1.5,
-    "verify": -1.0,
-}
-
-
-def parse_args(argv: List[str]) -> RunPlan:
-    """Validate argv into a RunPlan; exits with code 2 on usage errors."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    for name, v in vars(ns).items():
-        if isinstance(v, float) and not math.isfinite(v):
-            opt = "lambda" if name == "lam" else name
-            parser.error(f"--{opt} must be finite; got {v}")
-    if not 0 < ns.q <= Q_MAX:
-        parser.error(f"--q must lie in (0, {Q_MAX}]; got {ns.q}")
-    if ns.tol <= 0:
-        parser.error(f"--tol must be positive; got {ns.tol}")
-    if ns.alpha <= ALPHA_FLOOR[ns.command]:
-        parser.error(
-            f"--alpha must exceed {ALPHA_FLOOR[ns.command]} for "
-            f"{ns.command}; got {ns.alpha}"
-        )
-    params = {k: v for k, v in vars(ns).items() if k not in ("command", "format")}
-    if ns.command == "sample":
-        params["lambdas"] = _parse_lambdas(ns.lambdas, parser.error)
-    if getattr(ns, "count", None) is not None and ns.count < 1:
-        parser.error("--count must be >= 1")
-    return RunPlan(ns.command, params, ns.format)
 
 
 def _load(path: str, from_dict):
@@ -210,7 +94,7 @@ def _get_table(ctx: QContext, p: dict) -> ZeroTable:
     return find_zeros(ctx, p["alpha"], p["count"], tol=RESIDUAL_TOL)
 
 
-def _verify_identities(ctx: QContext, alpha, tol) -> List[dict]:
+def _verify_identities(ctx: QContext, alpha, tol, table) -> List[dict]:
     kinds = ["dq-order-raise", "dqinv-order-lower", "eigenfunction", "trig-dq"]
     if alpha > 0:
         kinds += ["recurrence-order", "recurrence-shifted"]
@@ -229,7 +113,7 @@ def _verify_identities(ctx: QContext, alpha, tol) -> List[dict]:
     return entries
 
 
-def _verify_orthogonality(ctx: QContext, alpha, tol) -> List[dict]:
+def _verify_orthogonality(ctx: QContext, alpha, tol, table) -> List[dict]:
     entries = []
     for lam, mu in ((0.5, 1.0), (1.0, 3.0)):
         d = lommel_integral_direct(ctx, alpha, 1.0, lam, mu, tol).value
@@ -242,8 +126,7 @@ def _verify_orthogonality(ctx: QContext, alpha, tol) -> List[dict]:
                 "residual": float(rel),
             }
         )
-    table = find_zeros(ctx, alpha, 3)
-    rep = gram_matrix(ctx, alpha, table, tol)
+    rep = gram_matrix(ctx, alpha, table.head(3), tol)
     for k in range(3):
         direct = rep.matrix[k][k]
         closed = rep.norm_closed[k]
@@ -264,13 +147,13 @@ def _verify_orthogonality(ctx: QContext, alpha, tol) -> List[dict]:
     return entries
 
 
-def _verify_sampling(ctx: QContext, alpha, tol) -> List[dict]:
+def _verify_sampling(ctx: QContext, alpha, tol, table) -> List[dict]:
     entries = []
-    table = find_zeros(ctx, alpha, 3)
+    head = table.head(3)
     worst = 0.0
     for k in range(3):
         for m in range(3):
-            s = sampling_kernel(ctx, alpha, table, k, table.zeros[m], tol)
+            s = sampling_kernel(ctx, alpha, head, k, head.zeros[m], tol)
             worst = max(worst, abs(float(s) - (1.0 if k == m else 0.0)))
     entries.append(
         {"id": "kernel-delta-property", "params": {"n": 3}, "residual": worst}
@@ -290,11 +173,8 @@ def _verify_sampling(ctx: QContext, alpha, tol) -> List[dict]:
             "residual": float(abs(got - want) / max(1, abs(want))),
         }
     )
-    # eight zeros push the truncation error of the partial expansion
-    # well below the suite threshold
-    wide = find_zeros(ctx, alpha, 8)
     sig = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
-    rep = reconstruct(ctx, alpha, sig, wide, [0.3, 0.9], tol)
+    rep = reconstruct(ctx, alpha, sig, table.head(8), [0.3, 0.9], tol)
     entries.append(
         {
             "id": "reconstruction-8-term",
@@ -305,116 +185,221 @@ def _verify_sampling(ctx: QContext, alpha, tol) -> List[dict]:
     return entries
 
 
-def _run_verify(ctx: QContext, p: dict) -> VerifyReport:
-    suite = p["suite"]
+class _Suite(NamedTuple):
+    threshold: float  # an entry whose residual exceeds it fails the suite
+    zeros: int  # length of the zero table the run needs
+    run: Callable[..., List[dict]]
+
+
+_SUITES = {
+    "identities": _Suite(1e-9, 0, _verify_identities),
+    "orthogonality": _Suite(1e-8, 3, _verify_orthogonality),
+    # eight zeros push the truncation error of the partial expansion
+    # well below the suite threshold
+    "sampling": _Suite(1e-6, 8, _verify_sampling),
+}
+
+
+def _verify(ctx: QContext, p: dict) -> dict:
+    """The report of the selected suites, which share one zero table:
+    the first n zeros of a longer table are the table of n zeros."""
     alpha = p["alpha"]
-    tol = p["tol"]
-    runners = {
-        "identities": _verify_identities,
-        "orthogonality": _verify_orthogonality,
-        "sampling": _verify_sampling,
+    selected = list(_SUITES) if p["suite"] == "all" else [p["suite"]]
+    count = max(_SUITES[name].zeros for name in selected)
+    table = find_zeros(ctx, alpha, count) if count else None
+    entries = [
+        {"suite": name, **e}
+        for name in selected
+        for e in _SUITES[name].run(ctx, alpha, p["tol"], table)
+    ]
+    return {
+        "suite": p["suite"],
+        "entries": entries,
+        "max_residual": max([0.0] + [e["residual"] for e in entries]),
+        "pass": not any(
+            e["residual"] > _SUITES[e["suite"]].threshold for e in entries
+        ),
     }
-    selected = list(runners) if suite == "all" else [suite]
-    entries = []
-    passed = True
-    max_res = 0.0
-    for name in selected:
-        for e in runners[name](ctx, alpha, tol):
-            e = {"suite": name, **e}
-            entries.append(e)
-            max_res = max(max_res, e["residual"])
-            if e["residual"] > SUITE_THRESHOLDS[name]:
-                passed = False
-    return VerifyReport(suite, entries, max_res, passed)
+
+
+def _eval(ctx: QContext, p: dict) -> dict:
+    z = p["z"] if p["z"] is not None else p["lam"] ** 2
+    sv = eval_J(ctx, p["alpha"], p["x"], z, p["tol"], p["terms_max"])
+    return {"value": sv.value, "abs_error": sv.abs_error, "terms_used": sv.terms_used}
+
+
+def _gram(ctx: QContext, p: dict) -> dict:
+    return gram_matrix(ctx, p["alpha"], _get_table(ctx, p), p["tol"]).to_dict()
+
+
+def _fourier(ctx: QContext, p: dict) -> dict:
+    table = _get_table(ctx, p)
+    sig = _load(p["signal"], QLatticeSignal.from_dict)
+    return {"coefficients": fourier_coefficients(ctx, p["alpha"], sig, table, p["tol"])}
+
+
+def _sample(ctx: QContext, p: dict) -> dict:
+    table = _get_table(ctx, p)
+    sig = _load(p["signal"], QLatticeSignal.from_dict)
+    return reconstruct(ctx, p["alpha"], sig, table, p["lambdas"], p["tol"]).to_dict()
+
+
+def _eval_options(sp) -> None:
+    sp.add_argument("--x", type=float, required=True)
+    g = sp.add_mutually_exclusive_group(required=True)
+    g.add_argument("--lambda", dest="lam", type=float)
+    g.add_argument("--z", type=float)
+    sp.add_argument("--terms-max", type=int, default=TERMS_MAX)
+
+
+def _table_options(sp) -> None:
+    g = sp.add_mutually_exclusive_group(required=True)
+    g.add_argument("--zeros", type=str, help="path to a zeros JSON table")
+    g.add_argument("--count", type=int, help="compute this many zeros first")
+
+
+def _signal_options(sp) -> None:
+    sp.add_argument("--signal", type=str, required=True)
+    _table_options(sp)
+
+
+def _sample_options(sp) -> None:
+    _signal_options(sp)
+    sp.add_argument(
+        "--lambdas",
+        type=_lambdas,
+        required=True,
+        help='JSON array "[0.3,0.7]" or linear range "start:stop:count"',
+    )
+
+
+def _numbered(rows) -> List[list]:
+    return [[k, *row] for k, row in enumerate(rows, 1)]
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand.  `options` adds its options to the shared
+    --q/--alpha/--tol/--format; --alpha must exceed `alpha_floor`;
+    `run(ctx, params)` returns the JSON document; `csv(document)` returns
+    the CSV (header, rows), and is None for a command that writes JSON
+    only; the command exits 1 when `failed(document)`."""
+
+    help: str
+    options: Callable[[argparse.ArgumentParser], None]
+    alpha_floor: float
+    run: Callable[[QContext, dict], dict]
+    csv: Optional[Callable[[dict], tuple]] = None
+    failed: Callable[[dict], bool] = lambda doc: False
+
+
+_COMMANDS = {
+    "eval": _Command(
+        "evaluate J_alpha(x, lambda; q^2)",
+        _eval_options,
+        -1.0,
+        _eval,
+        csv=lambda d: (list(d), [list(d.values())]),
+    ),
+    "zeros": _Command(
+        "table of positive zeros",
+        lambda sp: sp.add_argument("--count", type=int, required=True),
+        -0.5,
+        lambda ctx, p: find_zeros(ctx, p["alpha"], p["count"], tol=p["tol"]).to_dict(),
+        csv=lambda d: (
+            ["index", "zero", "deriv", "residual"],
+            _numbered(zip(d["zeros"], d["derivs"], d["residuals"])),
+        ),
+    ),
+    "gram": _Command(
+        "Gram matrix of the zero family",
+        _table_options,
+        -0.5,
+        _gram,
+        csv=lambda d: (["", *range(1, len(d["matrix"]) + 1)], _numbered(d["matrix"])),
+    ),
+    "fourier": _Command(
+        "expansion coefficients of a signal",
+        _signal_options,
+        -0.5,
+        _fourier,
+        csv=lambda d: (["index", "coefficient"], _numbered(zip(d["coefficients"]))),
+    ),
+    "sample": _Command(
+        "sampling reconstruction report",
+        _sample_options,
+        -1.5,
+        _sample,
+        csv=lambda d: (
+            ["lambda", "direct", "reconstructed"],
+            list(zip(d["lambdas"], d["direct"], d["reconstructed"])),
+        ),
+    ),
+    "verify": _Command(
+        "run a verification suite",
+        lambda sp: sp.add_argument("--suite", choices=(*_SUITES, "all"), default="all"),
+        -1.0,
+        _verify,
+        failed=lambda d: not d["pass"],
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="bigqbessel",
+        description="Big q-Bessel evaluation, zeros, Gram/Fourier analysis, "
+        "sampling reconstruction, and identity verification.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.add_argument("--q", type=float, required=True)
+        sp.add_argument("--alpha", type=float, default=0.0)
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        formats = ("json", "csv") if cmd.csv else ("json",)
+        sp.add_argument("--format", choices=formats, default="json")
+        cmd.options(sp)
+    return p
+
+
+def parse_args(argv: List[str]) -> RunPlan:
+    """Validate argv into a RunPlan; exits with code 2 on usage errors."""
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    for name, v in vars(ns).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            opt = "lambda" if name == "lam" else name
+            parser.error(f"--{opt} must be finite; got {v}")
+    if not 0 < ns.q <= Q_MAX:
+        parser.error(f"--q must lie in (0, {Q_MAX}]; got {ns.q}")
+    if ns.tol <= 0:
+        parser.error(f"--tol must be positive; got {ns.tol}")
+    floor = _COMMANDS[ns.command].alpha_floor
+    if ns.alpha <= floor:
+        parser.error(f"--alpha must exceed {floor} for {ns.command}; got {ns.alpha}")
+    if getattr(ns, "count", None) is not None and ns.count < 1:
+        parser.error("--count must be >= 1")
+    params = {k: v for k, v in vars(ns).items() if k not in ("command", "format")}
+    return RunPlan(ns.command, params, ns.format)
 
 
 def execute(plan: RunPlan) -> int:
     """Run the plan, write the document to stdout, and return the exit
     code (0 ok, 1 verification failure, 3 numeric failure)."""
+    cmd = _COMMANDS[plan.command]
     p = plan.params
     try:
-        ctx = QContext(p["q"], p["alpha"])
-        if plan.command == "eval":
-            z = p["z"] if p.get("z") is not None else p["lam"] ** 2
-            sv = eval_J(
-                ctx, p["alpha"], p["x"], z, p["tol"], p["terms_max"]
-            )
-            doc = {
-                "value": sv.value,
-                "abs_error": sv.abs_error,
-                "terms_used": sv.terms_used,
-            }
-            if plan.output_format == "csv":
-                out = _jsonio.rows_to_csv(
-                    ["value", "abs_error", "terms_used"],
-                    [[sv.value, sv.abs_error, sv.terms_used]],
-                )
-            else:
-                out = _jsonio.dumps(doc) + "\n"
-        elif plan.command == "zeros":
-            table = find_zeros(ctx, p["alpha"], p["count"], tol=p["tol"])
-            if plan.output_format == "csv":
-                rows = [
-                    [k + 1, table.zeros[k], table.derivs[k], table.residuals[k]]
-                    for k in range(len(table))
-                ]
-                out = _jsonio.rows_to_csv(
-                    ["index", "zero", "deriv", "residual"], rows
-                )
-            else:
-                out = _jsonio.dumps(table.to_dict()) + "\n"
-        elif plan.command == "gram":
-            table = _get_table(ctx, p)
-            rep = gram_matrix(ctx, p["alpha"], table, p["tol"])
-            if plan.output_format == "csv":
-                n = len(table)
-                header = [""] + [str(j + 1) for j in range(n)]
-                rows = [
-                    [str(i + 1)] + list(rep.matrix[i]) for i in range(n)
-                ]
-                out = _jsonio.rows_to_csv(header, rows)
-            else:
-                out = _jsonio.dumps(rep.to_dict()) + "\n"
-        elif plan.command == "fourier":
-            table = _get_table(ctx, p)
-            sig = _load(p["signal"], QLatticeSignal.from_dict)
-            coeffs = fourier_coefficients(ctx, p["alpha"], sig, table, p["tol"])
-            if plan.output_format == "csv":
-                rows = [[k + 1, c] for k, c in enumerate(coeffs)]
-                out = _jsonio.rows_to_csv(["index", "coefficient"], rows)
-            else:
-                out = _jsonio.dumps({"coefficients": coeffs}) + "\n"
-        elif plan.command == "sample":
-            table = _get_table(ctx, p)
-            sig = _load(p["signal"], QLatticeSignal.from_dict)
-            rep = reconstruct(
-                ctx, p["alpha"], sig, table, p["lambdas"], p["tol"]
-            )
-            if plan.output_format == "csv":
-                rows = [
-                    [rep.lambdas[i], rep.direct[i], rep.reconstructed[i]]
-                    for i in range(len(rep.lambdas))
-                ]
-                out = _jsonio.rows_to_csv(
-                    ["lambda", "direct", "reconstructed"], rows
-                )
-            else:
-                out = _jsonio.dumps(rep.to_dict()) + "\n"
-        elif plan.command == "verify":
-            rep = _run_verify(ctx, p)
-            out = _jsonio.dumps(rep.to_dict()) + "\n"
-            sys.stdout.write(out)
-            return 0 if rep.passed else 1
-        else:  # pragma: no cover - parse_args rejects unknown commands
-            raise ValueError(f"unknown command {plan.command}")
-    except BigQBesselError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        doc = cmd.run(QContext(p["q"], p["alpha"]), p)
+        if plan.output_format == "csv":
+            out = _jsonio.rows_to_csv(*cmd.csv(doc))
+        else:
+            out = _jsonio.dumps(doc) + "\n"
+    except (BigQBesselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(out)
-    return 0
+    return 1 if cmd.failed(doc) else 0
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -27,7 +27,6 @@ __all__ = [
     "QContext",
     "SeriesValue",
     "qpoch",
-    "qpoch_multi",
     "qpoch_inf",
     "basic_hypergeometric",
     "q_derivative",
@@ -92,16 +91,6 @@ def qpoch(a, q, n: int):
     p = mp.mpf(1)
     for i in range(int(n)):
         p *= 1 - a * q**i
-    return p
-
-
-def qpoch_multi(bases: Sequence, q, n: int):
-    """Product of qpoch(a_j, q, n) over a non-empty list of bases."""
-    if not bases:
-        raise ValueError("bases must be non-empty")
-    p = mp.mpf(1)
-    for a in bases:
-        p *= qpoch(a, q, n)
     return p
 
 

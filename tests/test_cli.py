@@ -4,8 +4,10 @@ contract (0 ok, 1 verification failure, 2 usage error, 3 numeric/IO
 failure).
 """
 
+import hashlib
 import json
 
+import mpmath as mp
 import pytest
 
 from bigqbessel import ZeroTable, eval_J, QContext
@@ -226,15 +228,25 @@ def test_usage_error_non_finite_float(capsys, argv):
     assert exc.value.code == 2
 
 
-def test_numeric_failure_unprintable_value(capsys):
+def test_eval_prints_value_beyond_int_str_limit(capsys):
     # J_0(1, lambda; 1/4) at z = 1e80 is near 10^5274 and is held at about
-    # 17600 bits; mpmath's decimal conversion of such a value exceeds
-    # Python's limit on int-to-str digits
+    # 17600 bits; printed at full precision, mpmath's decimal conversion
+    # of such a value exceeds Python's limit on int-to-str digits
     code = main(["eval", "--q", "0.5", "--x", "1", "--z", "1e80"])
     out = capsys.readouterr()
-    assert code == 3
-    assert out.out == ""
-    assert "error:" in out.err
+    assert code == 0
+    assert out.err == ""
+    want = eval_J(QContext(0.5), 0, 1, 1e80).value
+    with mp.workdps(30):
+        got = _jsonio.loads(out.out)["value"]
+        # 17 significant digits: within half a unit of the 17th
+        assert abs(got / want - 1) < 1e-16
+
+
+def test_usage_error_verify_has_no_csv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "0.5", "--suite", "identities", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("option", ["--signal", "--zeros"])
@@ -255,3 +267,60 @@ def test_numeric_failure_malformed_input_file(capsys, tmp_path, option, text):
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err
+
+
+PINNED_ZEROS = (
+    '{"q":0.5,"alpha":0,"zeros":[1.1242533587940896,3.6118374054514274,'
+    '7.9428262520268601],"derivs":[-1.5640578391868993,3.8197063822359539,'
+    '-32.724076471503469],"residuals":[2.000890416711484e-28,'
+    '8.3544845101800068e-22,5.0799034944839555e-36]}\n'
+)
+PINNED_SIGNAL = '{"a": 1.0, "values": [1.0, -0.5, 0.25, 0.125]}\n'
+
+# sha256 of stdout, with the exit code, of documents the CLI wrote before
+# its commands were one table; `zeros.json` and `signal.json` stand for
+# files holding PINNED_ZEROS and PINNED_SIGNAL
+_ON_FILES = ["--signal", "signal.json", "--zeros", "zeros.json"]
+PINNED = [
+    (["eval", "--q", "0.5", "--alpha", "0.5", "--x", "1.3", "--lambda", "2.0"],
+     "5240a33b1b38b490bb9e69216c2d81542dd50095f93750251b3a0ecdb924b3be",
+     "bd56f67b5888ba54bf7548cf05d96f22b7813f34317af3af4380ff8da5dea7e9"),
+    (["eval", "--q", "0.8", "--alpha", "-0.25", "--x", "0.7", "--z", "-3.5"],
+     "1869ab5c02fdda4032e62d869f865bf96f70a15625c9d217bf4ad7381a2f2239",
+     "3b52a926cf31ac5a5e92e584d301b7db2cb220671372327e42417358594272e2"),
+    (["zeros", "--q", "0.5", "--count", "3"],
+     "858f0088ff7d219d4aeb52e090ce676d57e65140cf62df8a39db3cc158fcc7d3",
+     "148a785049ddc9f990a670ecbddf254878dee2fab63578ee451c943ebf4d88a0"),
+    (["gram", "--q", "0.5", "--zeros", "zeros.json"],
+     "0eeeaf04601239e206879aebb7d7ab496678c2227b7f546f646c577b1d6f521b",
+     "d2b23c9a06560cee28549dd04854fba985fd626f460b368609ecaa4b468dff89"),
+    (["fourier", "--q", "0.5", *_ON_FILES],
+     "3b264109200ba8c23a732ed172224cca71f4da7a125f1637149279c8468f3393",
+     "4dce123b3e1244c0d4c12b8bde957d18f010129df31829a568c6bf4c12e54b4c"),
+    (["sample", "--q", "0.5", *_ON_FILES, "--lambdas", "0.3:1.2:4"],
+     "e76f00c72cbbfe7c0fc69c565a612a1b897b8345febedf28d779d232b36772ff",
+     "dc587b17ec48e91d19c646a862cf236108ce48db5fa769ae2a4708cc31bb84d3"),
+]
+PINNED_CASES = [
+    (argv + ["--format", fmt], 0, digest)
+    for argv, json_digest, csv_digest in PINNED
+    for fmt, digest in (("json", json_digest), ("csv", csv_digest))
+] + [
+    (["verify", "--q", "0.5", "--suite", "identities"], 0,
+     "e5914fc866e57b62bceef794f62fe72c6326b0fffaa82069896d579dc94b4d63"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_digest",
+    PINNED_CASES,
+    ids=[f"{c[0][0]}-{c[0][-1]}" for c in PINNED_CASES],
+)
+def test_documents_pinned_byte_for_byte(capsys, tmp_path, argv, want_code, want_digest):
+    files = {"zeros.json": PINNED_ZEROS, "signal.json": PINNED_SIGNAL}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, _ = run(capsys, argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest

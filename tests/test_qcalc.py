@@ -18,7 +18,6 @@ from bigqbessel import (
     q_integral,
     qpoch,
     qpoch_inf,
-    qpoch_multi,
 )
 from bigqbessel.errors import (
     DivergentSeries,
@@ -50,12 +49,6 @@ def test_qpoch_against_mpmath():
             got = qpoch(a, 0.6, n)
             want = mp.qp(mp.mpf(a), mp.mpf("0.6"), n)
             assert abs(got - want) <= 1e-14 * max(1, abs(want))
-
-
-def test_qpoch_multi_is_product():
-    got = qpoch_multi([0.3, -0.5], 0.7, 5)
-    want = qpoch(0.3, 0.7, 5) * qpoch(-0.5, 0.7, 5)
-    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_qpoch_inf_frozen_value():
