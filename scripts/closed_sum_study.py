@@ -24,7 +24,7 @@ def main() -> None:
     ap.add_argument("--digits", type=int, default=50)
     args = ap.parse_args()
 
-    ctx = QContext(args.q, args.alpha)
+    ctx = QContext(args.q)
     table = find_zeros(
         ctx, args.alpha, args.count, tol=10.0 ** (-args.digits - 10)
     )

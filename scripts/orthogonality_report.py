@@ -25,7 +25,7 @@ def main() -> None:
     ap.add_argument("--tol", type=float, default=1e-13)
     args = ap.parse_args()
 
-    ctx = QContext(args.q, args.alpha)
+    ctx = QContext(args.q)
     table = find_zeros(ctx, args.alpha, args.count, tol=1e-12)
     rep = gram_matrix(ctx, args.alpha, table, tol=args.tol)
 

@@ -35,7 +35,7 @@ def main() -> None:
     )
     args = ap.parse_args()
 
-    ctx = QContext(args.q, args.alpha)
+    ctx = QContext(args.q)
     table_tol = 10.0 ** (-args.digits - 10)
     sum_tol = 10.0 ** (-args.digits)
     table = find_zeros(ctx, args.alpha, max(args.counts), tol=table_tol)

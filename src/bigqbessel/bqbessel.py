@@ -21,7 +21,7 @@ from typing import Callable
 import mpmath as mp
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
-from .errors import InvalidOrder, ZeroSpectralParameter
+from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
 from .qcalc import (
     QContext,
     SeriesValue,
@@ -67,8 +67,13 @@ def _j_ratio(alpha, x, z, q):
     mpf for the exact pass.  The mpf product takes lead in its first
     multiplication, and skips it when no lead is given.
     log10(x^2 + q^(2k)) is a log-sum of 2 log10|x| and 2k log10 q, so the
-    float pass does not overflow for large |x|.
+    float pass does not overflow for large |x|.  A non-finite alpha, x or
+    z raises InvalidArgument.
     """
+    for name, v in (("alpha", alpha), ("x", x), ("z", z)):
+        # math.isfinite is the fast path for the common float argument
+        if not (math.isfinite(v) if isinstance(v, float) else mp.isfinite(v)):
+            raise InvalidArgument(f"{name} must be finite; got {v}")
     qf = float(q)
     af = float(alpha)
     lq = math.log10(qf)
@@ -128,12 +133,7 @@ def eval_J(
 
 
 def eval_dJ_dz(
-    ctx: QContext,
-    alpha,
-    x,
-    z,
-    tol: float = DEFAULT_TOL,
-    terms_max: int = TERMS_MAX,
+    ctx: QContext, alpha, x, z, tol: float = DEFAULT_TOL
 ) -> SeriesValue:
     """Term-wise z-derivative of eval_J: sum_k k c_k(x) z^(k-1).
 
@@ -156,34 +156,21 @@ def eval_dJ_dz(
         lambda: c1(0),
         lambda n: ratio(n + 1, mp.mpf(n + 2) / (n + 1)),
         tol,
-        terms_max,
     )
 
 
-def eval_big_cos(
-    ctx: QContext,
-    x,
-    z,
-    tol: float = DEFAULT_TOL,
-    terms_max: int = TERMS_MAX,
-) -> SeriesValue:
+def eval_big_cos(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Big q-cosine cos(x, lambda; q^2) = J_{-1/2}(x, lambda; q^2)."""
-    return eval_J(ctx, -0.5, x, z, tol, terms_max)
+    return eval_J(ctx, -0.5, x, z, tol)
 
 
-def eval_big_sin(
-    ctx: QContext,
-    x,
-    z,
-    tol: float = DEFAULT_TOL,
-    terms_max: int = TERMS_MAX,
-) -> SeriesValue:
+def eval_big_sin(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Big q-sine sin(x, lambda; q^2) = J_{1/2}(x, lambda; q^2) / (1 - q).
 
     The 1/(1-q) scaling is done at the working precision for tol, and
     abs_error includes its rounding.
     """
-    sv = eval_J(ctx, 0.5, x, z, tol, terms_max)
+    sv = eval_J(ctx, 0.5, x, z, tol)
     with mp.workdps(_workdigits(tol)):
         pref = 1 / (1 - _mpf(ctx.q))
         value = sv.value * pref

@@ -26,8 +26,9 @@ from .orthogonality import (
     gram_matrix,
     lommel_integral_direct,
     lommel_rhs_closed,
+    weight,
 )
-from .qcalc import QContext, fused_product_ratio
+from .qcalc import QContext
 from .sampling import q_hankel_transform, reconstruct, sampling_kernel
 from .zerofinder import ZeroTable, find_zeros
 
@@ -158,12 +159,11 @@ def _verify_sampling(ctx: QContext, alpha, tol, table) -> List[dict]:
     entries.append(
         {"id": "kernel-delta-property", "params": {"n": 3}, "residual": worst}
     )
-    q = mp.mpf(ctx.q)
     delta = QLatticeSignal(values=[1 / (1 - float(ctx.q))], a=1.0)
     lam = 0.7
     got = q_hankel_transform(ctx, alpha, delta, lam, tol).value
     want = (
-        fused_product_ratio(1, 2, 2 * mp.mpf(alpha) + 4, q, tol)
+        weight(ctx, alpha, 1, tol)
         * eval_J(ctx, alpha + 1, 1, mp.mpf(lam) ** 2, tol).value
     )
     entries.append(
@@ -390,7 +390,7 @@ def execute(plan: RunPlan) -> int:
     cmd = _COMMANDS[plan.command]
     p = plan.params
     try:
-        doc = cmd.run(QContext(p["q"], p["alpha"]), p)
+        doc = cmd.run(QContext(p["q"]), p)
         if plan.output_format == "csv":
             out = _jsonio.rows_to_csv(*cmd.csv(doc))
         else:

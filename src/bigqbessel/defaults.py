@@ -29,11 +29,9 @@ RHO_EXPONENT = -0.5
 SUBDIVISIONS = 8
 SCAN_MAX_STEPS = 20_000
 
-# Identity-residual thresholds: difference-quotient identities are checked
-# to IDENTITY_TOL; the eigenvalue identity composes two nested difference
-# quotients, which amplifies rounding, hence the looser EIGEN_TOL.
-IDENTITY_TOL = 1e-10
-EIGEN_TOL = 1e-9
+# Closed-form norm: the largest |J_alpha(1, j; q^2)| at which j is taken
+# for a zero; above it norm_sq_closed raises NotAZero.
+NOT_A_ZERO_TOL = 1e-6
 
 # Sampling kernel: relative half-width of the removable-singularity branch
 # around each zero (hard switch; the kernel is smooth on this scale).

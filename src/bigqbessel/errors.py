@@ -17,6 +17,10 @@ class PoleInDenominator(BigQBesselError):
     numerator truncates the series."""
 
 
+class InvalidArgument(BigQBesselError, ValueError):
+    """An argument is not finite, or a tolerance is not positive."""
+
+
 class DivergentSeries(BigQBesselError):
     """The series cannot converge for the given parameters, or the term
     budget was exhausted before the truncation rule certified a tail."""
@@ -63,7 +67,7 @@ class ScaleMismatch(BigQBesselError):
 
 class NotAZero(BigQBesselError):
     """A closed-form norm was requested at a point that is not a zero of
-    J_alpha(a, .; q^2) within tolerance."""
+    J_alpha(1, .; q^2) within tolerance."""
 
 
 class LengthMismatch(BigQBesselError):

@@ -32,7 +32,7 @@ from typing import Dict, List
 import mpmath as mp
 
 from .bqbessel import eval_dJ_dz, eval_J
-from .defaults import DEFAULT_TOL
+from .defaults import DEFAULT_TOL, NOT_A_ZERO_TOL
 from .errors import InvalidOrder, LengthMismatch, NotAZero, ScaleMismatch
 from .qcalc import (
     QContext,
@@ -263,42 +263,51 @@ def lommel_rhs_closed(
         return SeriesValue(+val, +err, 1)
 
 
+def _check_scale(f: QLatticeSignal) -> None:
+    if f.a != 1.0:
+        raise ScaleMismatch(
+            f"the zeros and the transform live on the scale-1 lattice; "
+            f"got a={f.a}"
+        )
+
+
 def norm_sq_closed(
     ctx: QContext,
     alpha,
     zero,
     deriv,
-    a: float = 1.0,
     tol: float = DEFAULT_TOL,
-    residual_tol: float = 1e-6,
 ) -> mp.mpf:
-    """Closed form of mu_k = ||J_{alpha+1}(., j_k)||^2 in L^2_q(0, a).
+    """Closed form of mu_k = ||J_{alpha+1}(., j_k)||^2 in L^2_q(0, 1), on
+    the unit lattice {q^m} where the zeros are.
 
     Differentiating the product-integral closed form at mu = lam = j_k
-    (a zero of J_alpha(a, .; q^2), with deriv the lambda-derivative there):
+    (a zero of J_alpha(1, .; q^2), with deriv the lambda-derivative there):
 
-        mu_k = -C/(2 j_k) * ( W(a) J_{alpha+1}(a/q, j_k) * deriv
+        mu_k = -C/(2 j_k) * ( W(1) J_{alpha+1}(1/q, j_k) * deriv
                               - J_{alpha+1}(0, j_k) dJ_alpha(0)
                               + dJ_{alpha+1}(0) J_alpha(0, j_k) ),
 
-    where dF(0) denotes the lambda-derivative at x = 0.
+    where dF(0) denotes the lambda-derivative at x = 0.  A point with
+    |J_alpha(1, j_k)| > NOT_A_ZERO_TOL raises NotAZero.
     """
     q = _mpf(ctx.q)
     am = _mpf(alpha)
-    a = _mpf(a)
     zero = _mpf(zero)
     deriv = _mpf(deriv)
     with mp.workdps(_workdigits(tol)):
         z = zero * zero
-        resid = abs(eval_J(ctx, am, a, z, tol).value)
-        if resid > residual_tol:
+        resid = abs(eval_J(ctx, am, 1, z, tol).value)
+        if resid > NOT_A_ZERO_TOL:
+            # a is the lattice end, 1 here; perfbench's probe lines
+            # print this message, so its wording stays
             raise NotAZero(
                 f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
-                f"{residual_tol}"
+                f"{NOT_A_ZERO_TOL}"
             )
         C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
-        W = fused_product_ratio(a * a, 0, 2 * am + 2, q, tol)
-        jp_aq = eval_J(ctx, am + 1, a / q, z, tol).value
+        W = fused_product_ratio(1, 0, 2 * am + 2, q, tol)
+        jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
         jp0 = eval_J(ctx, am + 1, 0, z, tol).value
         jm0 = eval_J(ctx, am, 0, z, tol).value
         djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
@@ -311,9 +320,9 @@ def gram_matrix(
     alpha,
     table: ZeroTable,
     tol: float = DEFAULT_TOL,
-    a: float = 1.0,
 ) -> GramReport:
-    """Pairwise direct inner products of {J_{alpha+1}(., j_n)}.
+    """Pairwise direct inner products of {J_{alpha+1}(., j_n)} in
+    L^2_q(0, 1).
 
     max_offdiag_rel is the largest |G_nm| / sqrt(G_nn G_mm) over n != m.
     Entries are computed for n <= m and mirrored (the integrand is
@@ -323,7 +332,7 @@ def gram_matrix(
         raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
     n = len(table)
     with mp.workdps(_workdigits(tol)):
-        lat = _Lattice(ctx, alpha, a, tol)
+        lat = _Lattice(ctx, alpha, 1.0, tol)
         cols = [lat.column(_mpf(j) * _mpf(j)) for j in table.zeros]
         mat = [[mp.mpf(0)] * n for _ in range(n)]
         for i in range(n):
@@ -332,7 +341,7 @@ def gram_matrix(
                 mat[i][j] = v
                 mat[j][i] = v
         norms = [
-            norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], a, tol)
+            norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
             for k in range(n)
         ]
         worst = mp.mpf(0)
@@ -352,18 +361,18 @@ def fourier_coefficients(
     tol: float = DEFAULT_TOL,
 ) -> List[mp.mpf]:
     """Expansion coefficients a_k(f) = <f, J_{alpha+1}(., j_k)> / mu_k with
-    mu_k from norm_sq_closed."""
+    mu_k from norm_sq_closed.  f must lie on the unit lattice of the zeros;
+    any other scale raises ScaleMismatch."""
     if len(table) < 1:
         raise ValueError("zero table must contain at least one zero")
+    _check_scale(f)
     with mp.workdps(_workdigits(tol)):
-        lat = _Lattice(ctx, alpha, f.a, tol)
+        lat = _Lattice(ctx, alpha, 1.0, tol)
         coeffs = []
         for k in range(len(table)):
             z = _mpf(table.zeros[k]) ** 2
             ip = lat.integral(f.values, lat.column(z)).value
-            mu = norm_sq_closed(
-                ctx, alpha, table.zeros[k], table.derivs[k], float(f.a), tol
-            )
+            mu = norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
             coeffs.append(ip / mu)
         return coeffs
 

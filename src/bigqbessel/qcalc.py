@@ -18,6 +18,7 @@ import mpmath as mp
 from .defaults import DEFAULT_TOL, GUARD_DIGITS, MIN_DPS, TERMS_MAX
 from .errors import (
     DivergentSeries,
+    InvalidArgument,
     NonPositiveUpperLimit,
     PoleInDenominator,
     ZeroArgument,
@@ -39,14 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QContext:
-    """Global parameters: the base q in (0,1) and a default order alpha.
+    """The base q in (0, 1).
 
-    Stricter alpha ranges (e.g. alpha > -1/2 for orthogonality) are
-    enforced per operation, not here.
+    Every operation takes the order alpha itself and enforces its own
+    alpha range (e.g. alpha > -1/2 for orthogonality).
     """
 
     q: float
-    alpha: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < float(self.q) < 1.0:
@@ -169,8 +169,8 @@ def sum_series(
     the peak can exceed the sum by hundreds of digits).  The exact pass
     then applies the geometric-ratio truncation rule.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise InvalidArgument(f"tol must be positive; got {tol}")
     digs = max(1.0, -math.log10(tol))
     lt = log_term0
     peak = max(0.0, lt)
@@ -217,7 +217,6 @@ def basic_hypergeometric(
     q,
     z,
     tol: float = DEFAULT_TOL,
-    terms_max: int = TERMS_MAX,
 ) -> SeriesValue:
     """Basic hypergeometric series r_phi_s(nums; dens; q, z) including the
     ((-1)^k q^C(k,2))^(1+s-r) convergence factor."""
@@ -261,9 +260,7 @@ def basic_hypergeometric(
             raise
         return math.log10(rr) if rr > 0 else -1e9
 
-    return sum_series(
-        0.0, ratio_log, lambda: mp.mpf(1), ratio_m, tol, terms_max
-    )
+    return sum_series(0.0, ratio_log, lambda: mp.mpf(1), ratio_m, tol)
 
 
 def q_derivative(f: Callable, x, q):
@@ -284,28 +281,19 @@ def q_derivative_inv(f: Callable, x, q):
     return (_mpf(f(x)) - _mpf(f(x / q))) / ((1 - 1 / q) * x)
 
 
-def q_integral(
-    f: Callable,
-    a,
-    q,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = 10 * TERMS_MAX,
-) -> SeriesValue:
+def q_integral(f: Callable, a, q, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Jackson q-integral (1-q) a sum_n f(a q^n) q^n over [0, a], with the
     tail rule of jackson_sum."""
     a = _mpf(a)
     q = _mpf(q)
-    return jackson_sum(lambda n: f(a * q**n), a, q, tol, max_terms)
+    return jackson_sum(lambda n: f(a * q**n), a, q, tol)
 
 
 def jackson_sum(
-    sample: Callable[[int], mp.mpf],
-    a,
-    q,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = 10 * TERMS_MAX,
+    sample: Callable[[int], mp.mpf], a, q, tol: float = DEFAULT_TOL
 ) -> SeriesValue:
-    """(1-q) a sum_n sample(n) q^n, where sample(n) = f(a q^n).
+    """(1-q) a sum_n sample(n) q^n, where sample(n) = f(a q^n), over at
+    most 10 * TERMS_MAX lattice points.
 
     The tail is bounded by a*q^(N+1)*sup|f|, with sup|f| estimated as twice
     the max over the first 64 lattice points; the estimate is enlarged on
@@ -321,7 +309,7 @@ def jackson_sum(
     sup = 2 * max(abs(v) for v in head)
     s = mp.mpf(0)
     n = 0
-    while n < max_terms:
+    while n < 10 * TERMS_MAX:
         fv = head[n] if n < 64 else _mpf(sample(n))
         if abs(fv) > sup:
             sup = 2 * abs(fv)

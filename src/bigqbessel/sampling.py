@@ -29,8 +29,8 @@ import mpmath as mp
 
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
-from .errors import AtPole, IndexOutOfRange, InvalidOrder, ScaleMismatch
-from .orthogonality import QLatticeSignal, _Lattice
+from .errors import AtPole, IndexOutOfRange, InvalidOrder
+from .orthogonality import QLatticeSignal, _check_scale, _Lattice
 from .qcalc import QContext, SeriesValue, _mpf, _workdigits
 from .zerofinder import ZeroTable
 
@@ -85,13 +85,6 @@ class ClosedSumResult(NamedTuple):
     lhs: mp.mpf
     rhs_partial: mp.mpf
     gap: mp.mpf
-
-
-def _check_scale(f: QLatticeSignal) -> None:
-    if f.a != 1.0:
-        raise ScaleMismatch(
-            f"the transform is defined on the scale-1 lattice; got a={f.a}"
-        )
 
 
 def q_hankel_transform(

@@ -1,8 +1,10 @@
-"""Location of the ordered positive zeros of lambda -> J_alpha(1, lambda; q^2).
+"""Location of the ordered positive zeros of lambda -> J_alpha(1, lambda; q^2),
+the zeros on the unit lattice {q^k} of [0, 1].
 
-The scan runs in z = lambda^2 on a geometric grid z_m = z_start * rho^m
+The scan runs in z = lambda^2 on a geometric grid z_m = Z_START * rho^m
 (rho = q^(-1/2)): the zeros spread multiplicatively, so geometric stepping
-keeps roughly O(1) zeros per step.  Each step is cut into sub-brackets to
+keeps roughly O(1) zeros per step.  Each step is cut into SUBDIVISIONS
+sub-brackets, and each sub-bracket with a sign change is cut once more, to
 guard against sign-change pairs hiding inside one step; every sign-change
 bracket is narrowed by bisection and polished by Newton steps in z using
 the term-wise derivative.  No scan of z < 0 is needed: every series term is
@@ -85,20 +87,16 @@ class ZeroTable:
         )
 
 
-def _g(ctx: QContext, alpha, a, z, eval_tol):
-    return eval_J(ctx, alpha, a, z, tol=eval_tol).value
+def _g(ctx: QContext, alpha, z, eval_tol):
+    return eval_J(ctx, alpha, 1, z, tol=eval_tol).value
 
 
 def refine_zero(
-    ctx: QContext,
-    alpha,
-    z_lo,
-    z_hi,
-    tol: float = RESIDUAL_TOL,
-    a: float = 1.0,
+    ctx: QContext, alpha, z_lo, z_hi, tol: float = RESIDUAL_TOL
 ) -> Tuple[mp.mpf, mp.mpf]:
-    """Refine one bracket [z_lo, z_hi] with g(z_lo) g(z_hi) < 0 to a zero
-    z* with |g(z*)| <= tol; returns (z*, dJ/dlambda at lambda = sqrt(z*)).
+    """Refine one bracket [z_lo, z_hi] with g(z_lo) g(z_hi) < 0, where
+    g(z) = J_alpha(1, sqrt(z); q^2), to a zero z* with |g(z*)| <= tol;
+    returns (z*, dJ/dlambda at lambda = sqrt(z*)).
 
     Bisection narrows the bracket to a safe relative width, then Newton in
     z polishes; each Newton iterate is kept inside the current bracket
@@ -108,8 +106,8 @@ def refine_zero(
     eval_tol = min(tol * 1e-4, 1e-16)
     z_lo = mp.mpf(z_lo)
     z_hi = mp.mpf(z_hi)
-    g_lo = _g(ctx, alpha, a, z_lo, eval_tol)
-    g_hi = _g(ctx, alpha, a, z_hi, eval_tol)
+    g_lo = _g(ctx, alpha, z_lo, eval_tol)
+    g_hi = _g(ctx, alpha, z_hi, eval_tol)
     # Near large zeros the slope |dg/dz| is huge, so meeting an absolute
     # residual target on |g| requires the iterate itself to carry far more
     # digits than the residual suggests: |g| ~ |g'| dz, so the working
@@ -136,7 +134,7 @@ def refine_zero(
             # Bisection to a relative width where Newton is safe.
             while (z_hi - z_lo) > mp.mpf("0.05") * z_lo:
                 z_mid = (z_lo + z_hi) / 2
-                g_mid = _g(ctx, alpha, a, z_mid, eval_tol)
+                g_mid = _g(ctx, alpha, z_mid, eval_tol)
                 if g_mid == 0:
                     break
                 if g_lo * g_mid < 0:
@@ -145,10 +143,10 @@ def refine_zero(
                     z_lo, g_lo = z_mid, g_mid
             z = (z_lo + z_hi) / 2
             for _ in range(200):
-                gv = _g(ctx, alpha, a, z, eval_tol)
+                gv = _g(ctx, alpha, z, eval_tol)
                 if abs(gv) <= tol:
                     break
-                gp = eval_dJ_dz(ctx, alpha, a, z, tol=eval_tol).value
+                gp = eval_dJ_dz(ctx, alpha, 1, z, tol=eval_tol).value
                 step = gv / gp
                 z_new = z - step
                 if not (z_lo < z_new < z_hi):
@@ -164,36 +162,16 @@ def refine_zero(
                     "Newton polish failed to reach the residual target"
                 )
         deriv = (
-            2 * mp.sqrt(z) * eval_dJ_dz(ctx, alpha, a, z, tol=eval_tol).value
+            2 * mp.sqrt(z) * eval_dJ_dz(ctx, alpha, 1, z, tol=eval_tol).value
         )
         return +z, +deriv
 
 
-def _sign_change_brackets(ctx, alpha, a, z_pts, g_pts, eval_tol, depth=0):
-    """Sign-change sub-brackets of a partitioned interval; each candidate
-    is subdivided once more to catch hidden pairs of changes."""
-    out = []
-    for (zl, gl), (zr, gr) in zip(
-        zip(z_pts, g_pts), zip(z_pts[1:], g_pts[1:])
-    ):
-        if gl * gr < 0:
-            if depth >= 2:
-                out.append((zl, zr))
-                continue
-            sub_z = [
-                zl * (zr / zl) ** (mp.mpf(i) / SUBDIVISIONS)
-                for i in range(SUBDIVISIONS + 1)
-            ]
-            sub_g = (
-                [gl]
-                + [_g(ctx, alpha, a, z, eval_tol) for z in sub_z[1:-1]]
-                + [gr]
-            )
-            inner = _sign_change_brackets(
-                ctx, alpha, a, sub_z, sub_g, eval_tol, depth + 1
-            )
-            out.extend(inner if inner else [(zl, zr)])
-    return out
+def _geometric(z, ratio) -> List[mp.mpf]:
+    """SUBDIVISIONS + 1 geometric points from z to z * ratio."""
+    return [
+        z * ratio ** (mp.mpf(i) / SUBDIVISIONS) for i in range(SUBDIVISIONS + 1)
+    ]
 
 
 def find_zeros(
@@ -201,15 +179,15 @@ def find_zeros(
     alpha,
     count: int,
     tol: float = RESIDUAL_TOL,
-    a: float = 1.0,
-    z_start: float = Z_START,
     rho: float | None = None,
     max_steps: int = SCAN_MAX_STEPS,
-    simplicity_floor: float = SIMPLICITY_FLOOR,
 ) -> ZeroTable:
-    """First `count` positive zeros (in lambda) of J_alpha(a, lambda; q^2).
+    """First `count` positive zeros (in lambda) of J_alpha(1, lambda; q^2).
 
-    tol is the absolute residual target on |J| at each accepted zero.
+    tol is the absolute residual target on |J| at each accepted zero.  The
+    scan starts at z = Z_START and steps by rho = q^RHO_EXPONENT unless rho
+    is given; a zero whose |dJ/dlambda| is below SIMPLICITY_FLOOR is not
+    accepted as simple.
     """
     if alpha <= -0.5:
         raise InvalidOrder(
@@ -222,8 +200,8 @@ def find_zeros(
     zeros: List[mp.mpf] = []
     derivs: List[mp.mpf] = []
     residuals: List[mp.mpf] = []
-    z_lo = mp.mpf(z_start)
-    g_lo = _g(ctx, alpha, a, z_lo, eval_tol)
+    z_lo = mp.mpf(Z_START)
+    g_lo = _g(ctx, alpha, z_lo, eval_tol)
     steps = 0
     while len(zeros) < count:
         if steps >= max_steps:
@@ -232,20 +210,28 @@ def find_zeros(
                 f"{len(zeros)} of {count} zeros bracketed; raise the ceiling"
             )
         z_hi = z_lo * rho_m
-        # Cut the step into geometric sub-brackets up front.
-        sub_z = [
-            z_lo * rho_m ** (mp.mpf(i) / SUBDIVISIONS)
-            for i in range(SUBDIVISIONS + 1)
-        ]
-        sub_g = [g_lo] + [
-            _g(ctx, alpha, a, z, eval_tol) for z in sub_z[1:]
-        ]
-        for zl, zr in _sign_change_brackets(
-            ctx, alpha, a, sub_z, sub_g, eval_tol, depth=1
-        ):
-            z_star, deriv = refine_zero(ctx, alpha, zl, zr, tol, a)
-            resid = abs(_g(ctx, alpha, a, z_star, eval_tol))
-            if abs(deriv) < simplicity_floor:
+        sub_z = _geometric(z_lo, rho_m)
+        sub_g = [g_lo] + [_g(ctx, alpha, z, eval_tol) for z in sub_z[1:]]
+        brackets = []
+        for i in range(SUBDIVISIONS):
+            if sub_g[i] * sub_g[i + 1] < 0:
+                # Cut the sign change once more to catch a hidden pair.
+                cut_z = _geometric(sub_z[i], sub_z[i + 1] / sub_z[i])
+                cut_g = (
+                    [sub_g[i]]
+                    + [_g(ctx, alpha, z, eval_tol) for z in cut_z[1:-1]]
+                    + [sub_g[i + 1]]
+                )
+                inner = [
+                    (cut_z[k], cut_z[k + 1])
+                    for k in range(SUBDIVISIONS)
+                    if cut_g[k] * cut_g[k + 1] < 0
+                ]
+                brackets.extend(inner or [(sub_z[i], sub_z[i + 1])])
+        for zl, zr in brackets:
+            z_star, deriv = refine_zero(ctx, alpha, zl, zr, tol)
+            resid = abs(_g(ctx, alpha, z_star, eval_tol))
+            if abs(deriv) < SIMPLICITY_FLOOR:
                 raise BracketingFailure(
                     f"derivative {mp.nstr(deriv)} below the simplicity "
                     f"floor at z = {mp.nstr(z_star)}"

@@ -12,12 +12,12 @@ from bigqbessel import QContext, find_zeros
 
 @pytest.fixture(scope="session")
 def ctx05():
-    return QContext(0.5, 0.0)
+    return QContext(0.5)
 
 
 @pytest.fixture(scope="session")
 def ctx08():
-    return QContext(0.8, 0.5)
+    return QContext(0.8)
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,7 @@ def test_criterion_1_identity_suite():
     count = 0
     for q in (0.3, 0.5, 0.9):
         for alpha in (-0.25, 0.0, 0.5, 1.3):
-            ctx = QContext(q, alpha)
+            ctx = QContext(q)
             kinds = ["dq-order-raise", "dqinv-order-lower", "eigenfunction"]
             # the three-term recurrences involve order alpha-1, which is
             # only defined for alpha > 0; the remaining grid points lie
@@ -88,7 +88,7 @@ def test_criterion_2_product_integral():
     worst = mp.mpf(0)
     for q in (0.3, 0.5, 0.9):
         for alpha in (0.0, 0.5):
-            ctx = QContext(q, alpha)
+            ctx = QContext(q)
             for lam in (0.5, 1.0, 3.0):
                 for mu in (0.5, 1.0, 3.0):
                     d = lommel_integral_direct(
@@ -115,7 +115,7 @@ def _classical_limit_errors():
     errs = []
     for k in range(2, 9):
         q2 = 1 - mp.mpf(2) ** -k
-        ctx = QContext(float(mp.sqrt(q2)), 0.0)
+        ctx = QContext(float(mp.sqrt(q2)))
         v = eval_J(ctx, 0, x / (1 - q2), ((1 - q2) ** 2 * lam) ** 2, 1e-18)
         errs.append(abs(v.value - target))
     return errs

@@ -28,7 +28,7 @@ def test_eval_json_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical
     doc = json.loads(out1)
-    want = eval_J(QContext(0.5, 0.0), 0, 1, 0.01).value
+    want = eval_J(QContext(0.5), 0, 1, 0.01).value
     assert abs(float(doc["value"]) - float(want)) <= 1e-13
     assert doc["terms_used"] >= 1
 
@@ -205,6 +205,15 @@ def test_numeric_failure_missing_file(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err
+
+
+def test_numeric_failure_fourier_off_unit_scale(capsys, tmp_path):
+    sig = tmp_path / "signal.json"
+    sig.write_text('{"a": 0.5, "values": [1.0, 0.5]}')
+    code = main(["fourier", "--q", "0.5", "--signal", str(sig), "--count", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "scale-1 lattice; got a=0.5" in err
 
 
 def test_float_formatting_17_digits():

@@ -62,6 +62,14 @@ def test_inner_product_delta_signal(ctx05):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def test_fourier_rejects_off_unit_scale(ctx05, table05):
+    # the zeros are those of J_alpha(1, .; q^2): a signal on another
+    # lattice is refused for its scale, not blamed on the zeros
+    f = QLatticeSignal(values=[1.0, 0.5], a=0.5)
+    with pytest.raises(ScaleMismatch):
+        fourier_coefficients(ctx05, 0.0, f, table05.head(2))
+
+
 def test_inner_product_scale_mismatch(ctx05):
     f = QLatticeSignal(values=[1.0], a=1.0)
     g = QLatticeSignal(values=[1.0], a=0.5)
@@ -71,7 +79,7 @@ def test_inner_product_scale_mismatch(ctx05):
 
 @pytest.mark.parametrize("q,alpha", [(0.3, 0.0), (0.5, 0.5), (0.9, 0.0)])
 def test_product_integral_two_sided(q, alpha):
-    ctx = QContext(q, alpha)
+    ctx = QContext(q)
     for lam, mu in ((0.5, 1.0), (1.0, 3.0), (0.5, 3.0)):
         d = lommel_integral_direct(ctx, alpha, 1.0, lam, mu, 1e-13).value
         c = lommel_rhs_closed(ctx, alpha, 1.0, lam, mu, 1e-13).value
@@ -158,7 +166,7 @@ def test_lattice_sums_match_direct_paths(q, alpha):
     # w J J per pair, and an explicit loop over the signal, each with the
     # same order of multiplication, so the results agree bit for bit
     tol = 1e-13
-    ctx = QContext(q, alpha)
+    ctx = QContext(q)
     table = find_zeros(ctx, alpha, 4, tol=1e-12)
     f = QLatticeSignal(values=[1.0, 0.0, -0.5, 0.25], a=1.0)
     lams = [mp.mpf("0.7"), table.zeros[1]]
@@ -204,7 +212,7 @@ def test_lattice_sums_match_direct_paths(q, alpha):
 
         for k in range(4):
             mu = norm_sq_closed(
-                ctx, alpha, table.zeros[k], table.derivs[k], 1.0, tol
+                ctx, alpha, table.zeros[k], table.derivs[k], tol
             )
             assert coeffs[k]._mpf_ == (signal_sum(zs[k]) / mu)._mpf_
         for sv, z in zip(transforms, lam_zs):

@@ -103,7 +103,7 @@ def test_q_derivative_classical_rate():
     z=st.floats(min_value=-5.0, max_value=-0.01),
 )
 def test_eval_J_positive_on_negative_z(q, alpha, x, z):
-    ctx = QContext(q, alpha)
+    ctx = QContext(q)
     assert eval_J(ctx, alpha, x, z, tol=1e-12).value >= 1
 
 
@@ -114,7 +114,7 @@ def test_eval_J_positive_on_negative_z(q, alpha, x, z):
     z=st.floats(min_value=0.01, max_value=2.0),
 )
 def test_eval_J_error_bound_is_honest(q, x, z):
-    ctx = QContext(q, 0.0)
+    ctx = QContext(q)
     coarse = eval_J(ctx, 0, x, z, tol=1e-8)
     fine = eval_J(ctx, 0, x, z, tol=1e-20)
     assert abs(coarse.value - fine.value) <= coarse.abs_error + mp.mpf(

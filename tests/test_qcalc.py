@@ -31,10 +31,9 @@ import oracles
 
 def test_qcontext_validates_q():
     with pytest.raises(ValueError):
-        QContext(1.0, 0.0)
+        QContext(1.0)
     with pytest.raises(ValueError):
-        QContext(0.0, 0.0)
-    assert QContext(0.5).alpha == 0.0
+        QContext(0.0)
 
 
 def test_qpoch_hand_value():
