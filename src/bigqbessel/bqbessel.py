@@ -16,16 +16,18 @@ P_k(0) = q^(k(k-1))).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import mpmath as mp
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
-from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
+from .errors import InvalidOrder, ZeroSpectralParameter
 from .qcalc import (
     QContext,
     SeriesValue,
     _mpf,
+    _require_finite,
     _workdigits,
     fused_product_ratio,
     q_derivative,
@@ -70,10 +72,7 @@ def _j_ratio(alpha, x, z, q):
     float pass does not overflow for large |x|.  A non-finite alpha, x or
     z raises InvalidArgument.
     """
-    for name, v in (("alpha", alpha), ("x", x), ("z", z)):
-        # math.isfinite is the fast path for the common float argument
-        if not (math.isfinite(v) if isinstance(v, float) else mp.isfinite(v)):
-            raise InvalidArgument(f"{name} must be finite; got {v}")
+    _require_finite(alpha=alpha, x=x, z=z)
     qf = float(q)
     af = float(alpha)
     lq = math.log10(qf)
@@ -112,6 +111,72 @@ def _j_ratio(alpha, x, z, q):
         )
 
     return log_ratio, ratio
+
+
+def _j_sign(alpha, z, q) -> int:
+    """The sign of J_alpha(1, sqrt(z); q^2) where a sum in doubles
+    certifies it: +1 or -1 when the double sum S of the terms of _j_ratio
+    at x = 1 exceeds the a-priori bound E on its error (derived below), and
+    0 when it does not, when q, alpha or z is not exactly a finite double,
+    or outside 0 < q < 1, alpha > -1, z > 0."""
+    qf, af, zf = float(q), float(alpha), float(z)
+    for f, v in ((qf, q), (af, alpha), (zf, z)):
+        if not math.isfinite(f) or mp.mpf(f) != v:
+            return 0
+    if not (0 < qf < 1 and af > -1 and zf > 0):
+        return 0
+    # Rounding.  u = 2^-53: each +, -, *, / is within u relative and pow
+    # within 1 ulp (2u).  Counting roundings, to first order in u:
+    # q2 = q q carries 1; a = q^(2 alpha) q2 = q^(2 alpha + 2) carries 4
+    # (2 alpha is exact); c = a z carries 5; the running p = q^(2k)
+    # carries 2k.  In r(k) = -(p c)(1 + p) / ((1 - p q2)(1 - p a)), p c
+    # carries 2k + 6, 1 + p carries 2k + 1 and the three outer operations
+    # 3.  1 - y, with y within m u, is within (m y / (1 - y) + 1) u, and
+    # y / (1 - y) is largest at k = 0; so 1 - p q2 carries
+    # (2k + 2) q2 / (1 - q2) + 1 and 1 - p a carries (2k + 5) a / (1 - a) + 1.
+    # In all r(k) is within (2k + 6) K u with K = 1/(1 - q2) + 1/(1 - a)
+    # >= 2, and t_n = t_{n-1} r(n-1) (one more rounding each) within
+    #   sum_{k<n} ((2k + 6) K + 1) u = ((n^2 + 5n) K + n) u
+    #                                <= (n + 3)^2 K u = beta.
+    # Summing t_0..t_n adds at most n u A, A = sum |t_k|.
+    # Tail.  At x = 1, z > 0 and alpha > -1, with w = q^(2k),
+    #   |r(k)| = a z w (1 + w) / ((1 - q2 w)(1 - a w)):
+    # the numerator grows with w, and as q2, a < 1 the denominator falls
+    # with w; w falls with k, so |r(k)| falls with k.  Once |r(n)| <= 1/2
+    # the terms after t_n sum to at most |t_{n+1}| / (1 - |r(n)|)
+    # <= 2 |t_{n+1}|.  So, to first order,
+    #   |J - S| <= (beta + n u) A + 2 |t_{n+1}|.
+    # While beta <= 1/8 the second-order terms, the gap between the
+    # computed and the exact A, r(n) and t_{n+1}, and the rounding of E
+    # itself stay within the factor 4 of
+    #   E = 4 ((beta + n u) A + |t_{n+1}|).
+    # Underflow: q2, c and p are checked to be normal; a product p c below
+    # the normal range makes |r| < 2^-1021 K^2 <= u and so ends the loop at
+    # that term, where it enters E only.  Overflow gives up through A.
+    u = 2.0**-53
+    q2 = qf * qf
+    a = qf ** (2 * af) * q2
+    c = a * zf
+    if not (a < 1 and min(q2, c) >= sys.float_info.min):
+        return 0
+    k_amp = 1 / (1 - q2) + 1 / (1 - a)
+    p = t = s = total = 1.0  # q^(2n), t_n, the sums of t_k and of |t_k|
+    for n in range(TERMS_MAX):
+        r = -(p * c) * (1 + p) / ((1 - p * q2) * (1 - p * a))
+        t *= r
+        if abs(r) <= 0.5 and abs(t) <= u * total:
+            break
+        s += t
+        total += abs(t)
+        p *= q2
+        if not (total < math.inf and p >= sys.float_info.min):
+            return 0
+    else:
+        return 0
+    beta = (n + 3) ** 2 * k_amp * u
+    if beta > 0.125 or not abs(s) > 4 * ((beta + n * u) * total + abs(t)):
+        return 0
+    return 1 if s > 0 else -1
 
 
 def eval_J(

@@ -33,7 +33,13 @@ import mpmath as mp
 
 from .bqbessel import eval_dJ_dz, eval_J
 from .defaults import DEFAULT_TOL, NOT_A_ZERO_TOL
-from .errors import InvalidOrder, LengthMismatch, NotAZero, ScaleMismatch
+from .errors import (
+    InvalidArgument,
+    InvalidOrder,
+    LengthMismatch,
+    NotAZero,
+    ScaleMismatch,
+)
 from .qcalc import (
     QContext,
     SeriesValue,
@@ -103,8 +109,8 @@ class GramReport:
 def weight(ctx: QContext, alpha, x, tol: float = DEFAULT_TOL):
     """Inner-product weight x (-x^2 q^2; q^2)_inf / (-x^2 q^(2a+4); q^2)_inf
     computed as one fused product."""
-    if x < 0:
-        raise ValueError("weight is defined for x >= 0")
+    if not x >= 0:
+        raise InvalidArgument(f"weight is defined for x >= 0; got {x}")
     if x == 0:
         return mp.mpf(0)
     x = _mpf(x)
@@ -364,7 +370,7 @@ def fourier_coefficients(
     mu_k from norm_sq_closed.  f must lie on the unit lattice of the zeros;
     any other scale raises ScaleMismatch."""
     if len(table) < 1:
-        raise ValueError("zero table must contain at least one zero")
+        raise InvalidArgument("zero table must contain at least one zero")
     _check_scale(f)
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, 1.0, tol)

@@ -76,6 +76,15 @@ def _mpf(x) -> mp.mpf:
     return x if isinstance(x, mp.mpf) else mp.mpf(x)
 
 
+def _require_finite(**args) -> None:
+    """Raise InvalidArgument naming the first argument that is not a
+    finite number."""
+    for name, v in args.items():
+        # math.isfinite is the fast path for the common float argument
+        if not (math.isfinite(v) if isinstance(v, float) else mp.isfinite(v)):
+            raise InvalidArgument(f"{name} must be finite; got {v}")
+
+
 def _workdigits(tol: float) -> int:
     """Working decimal digits of the routines that combine several series
     values at tolerance tol."""
@@ -98,9 +107,10 @@ def qpoch_inf(a, q, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Infinite q-product (a; q)_inf, truncated so the dropped log-tail
     sum_{i>=N} |a| q^i / (1 - |a| q^i) implies relative error < tol."""
     if not 0 < q < 1:
-        raise ValueError(f"q must lie strictly in (0, 1); got {q}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument(f"q must lie strictly in (0, 1); got {q}")
+    if not tol > 0:
+        raise InvalidArgument(f"tol must be positive; got {tol}")
+    _require_finite(a=a)
     if a == 0:
         return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
     with mp.workdps(max(MIN_DPS, int(-math.log10(tol)) + 10)):
@@ -133,6 +143,9 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     as one fused product, avoiding overflow/underflow of the separately
     huge/tiny factors for large x2.
     """
+    _require_finite(x2=x2, e_num=e_num, e_den=e_den, q=q)
+    if not tol > 0:
+        raise InvalidArgument(f"tol must be positive; got {tol}")
     x2 = _mpf(x2)
     q = _mpf(q)
     e_num = _mpf(e_num)
@@ -221,7 +234,7 @@ def basic_hypergeometric(
     """Basic hypergeometric series r_phi_s(nums; dens; q, z) including the
     ((-1)^k q^C(k,2))^(1+s-r) convergence factor."""
     if not 0 < q < 1:
-        raise ValueError(f"q must lie strictly in (0, 1); got {q}")
+        raise InvalidArgument(f"q must lie strictly in (0, 1); got {q}")
     r = len(nums)
     s = len(dens)
     excess = 1 + s - r
@@ -299,10 +312,11 @@ def jackson_sum(
     the max over the first 64 lattice points; the estimate is enlarged on
     the fly if later samples exceed it, which keeps the bound honest.
     """
+    _require_finite(a=a)
     if a <= 0:
         raise NonPositiveUpperLimit(f"upper limit must be positive; got {a}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise InvalidArgument(f"tol must be positive; got {tol}")
     a = _mpf(a)
     q = _mpf(q)
     head = [_mpf(sample(n)) for n in range(64)]

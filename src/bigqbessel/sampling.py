@@ -29,7 +29,7 @@ import mpmath as mp
 
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
-from .errors import AtPole, IndexOutOfRange, InvalidOrder
+from .errors import AtPole, IndexOutOfRange, InvalidArgument, InvalidOrder
 from .orthogonality import QLatticeSignal, _check_scale, _Lattice
 from .qcalc import QContext, SeriesValue, _mpf, _workdigits
 from .zerofinder import ZeroTable
@@ -150,7 +150,7 @@ def reconstruct(
     zeros, compared point-wise against the directly computed transform."""
     _check_order(alpha)
     if len(table) < 1:
-        raise ValueError("zero table must contain at least one zero")
+        raise InvalidArgument("zero table must contain at least one zero")
     _check_scale(f)
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, 1.0, tol)

@@ -9,10 +9,20 @@ guard against sign-change pairs hiding inside one step; every sign-change
 bracket is narrowed by bisection and polished by Newton steps in z using
 the term-wise derivative.  No scan of z < 0 is needed: every series term is
 positive there, so the function is >= 1 on the whole negative z-axis.
+
+The scan needs only the sign of J at each grid point.  bqbessel._j_sign
+sums the series in doubles and returns the sign when the sum exceeds an
+a-priori bound on its error; only where it cannot (near a zero, or where
+the terms cancel too much for doubles) does the scan evaluate J with
+eval_J.  A certified sign is the sign of J, which eval_J's value also has
+wherever |J| exceeds eval_J's error, so the scan builds the brackets that
+evaluating J at every point builds; refine_zero evaluates J as before.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -26,8 +36,13 @@ from .defaults import (
     SUBDIVISIONS,
     Z_START,
 )
-from .bqbessel import eval_dJ_dz, eval_J
-from .errors import BracketingFailure, InvalidOrder, NoSignChange
+from .bqbessel import _j_sign, eval_dJ_dz, eval_J
+from .errors import (
+    BracketingFailure,
+    InvalidArgument,
+    InvalidOrder,
+    NoSignChange,
+)
 from .qcalc import QContext
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
@@ -91,6 +106,14 @@ def _g(ctx: QContext, alpha, z, eval_tol):
     return eval_J(ctx, alpha, 1, z, tol=eval_tol).value
 
 
+def _eval_tol(tol) -> float:
+    """The tolerance of the J evaluations behind a residual target tol;
+    a tol that is not a finite number > 0 raises InvalidArgument."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidArgument(f"tol must be a finite number > 0; got {tol!r}")
+    return min(tol * 1e-4, 1e-16)
+
+
 def refine_zero(
     ctx: QContext, alpha, z_lo, z_hi, tol: float = RESIDUAL_TOL
 ) -> Tuple[mp.mpf, mp.mpf]:
@@ -103,7 +126,7 @@ def refine_zero(
     (falling back to bisection when it escapes), so the sign change is
     preserved throughout.
     """
-    eval_tol = min(tol * 1e-4, 1e-16)
+    eval_tol = _eval_tol(tol)
     z_lo = mp.mpf(z_lo)
     z_hi = mp.mpf(z_hi)
     g_lo = _g(ctx, alpha, z_lo, eval_tol)
@@ -193,15 +216,20 @@ def find_zeros(
         raise InvalidOrder(
             f"zero ordering requires alpha > -1/2; got {alpha}"
         )
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    eval_tol = min(tol * 1e-4, 1e-16)
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise InvalidArgument(f"count must be an integer >= 1; got {count!r}")
+    eval_tol = _eval_tol(tol)
     rho_m = mp.mpf(ctx.q) ** RHO_EXPONENT if rho is None else mp.mpf(rho)
     zeros: List[mp.mpf] = []
     derivs: List[mp.mpf] = []
     residuals: List[mp.mpf] = []
+
+    def sign(z):
+        # the certified sign where the double sum gives one, else J itself
+        return _j_sign(alpha, z, ctx.q) or _g(ctx, alpha, z, eval_tol)
+
     z_lo = mp.mpf(Z_START)
-    g_lo = _g(ctx, alpha, z_lo, eval_tol)
+    g_lo = sign(z_lo)
     steps = 0
     while len(zeros) < count:
         if steps >= max_steps:
@@ -211,7 +239,7 @@ def find_zeros(
             )
         z_hi = z_lo * rho_m
         sub_z = _geometric(z_lo, rho_m)
-        sub_g = [g_lo] + [_g(ctx, alpha, z, eval_tol) for z in sub_z[1:]]
+        sub_g = [g_lo] + [sign(z) for z in sub_z[1:]]
         brackets = []
         for i in range(SUBDIVISIONS):
             if sub_g[i] * sub_g[i + 1] < 0:
@@ -219,7 +247,7 @@ def find_zeros(
                 cut_z = _geometric(sub_z[i], sub_z[i + 1] / sub_z[i])
                 cut_g = (
                     [sub_g[i]]
-                    + [_g(ctx, alpha, z, eval_tol) for z in cut_z[1:-1]]
+                    + [sign(z) for z in cut_z[1:-1]]
                     + [sub_g[i + 1]]
                 )
                 inner = [

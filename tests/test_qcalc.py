@@ -10,17 +10,23 @@ import pytest
 
 from bigqbessel import (
     QContext,
+    QLatticeSignal,
     SeriesValue,
+    ZeroTable,
     basic_hypergeometric,
+    fourier_coefficients,
     fused_product_ratio,
     q_derivative,
     q_derivative_inv,
     q_integral,
     qpoch,
     qpoch_inf,
+    reconstruct,
+    weight,
 )
 from bigqbessel.errors import (
     DivergentSeries,
+    InvalidArgument,
     NonPositiveUpperLimit,
     PoleInDenominator,
     ZeroArgument,
@@ -161,3 +167,40 @@ def test_basic_hypergeometric_divergent():
 def test_series_value_float_conversion():
     sv = q_integral(lambda x: x, 1, 0.5, tol=1e-14)
     assert math.isclose(float(sv), 2.0 / 3.0, rel_tol=1e-12)
+
+
+NAN = math.nan
+NO_ZEROS = ZeroTable(0.5, 0.0)
+SIGNAL = QLatticeSignal([1.0, 0.5])
+
+INVALID_AT_THE_EDGE = {
+    "qpoch_inf(nan, q)": lambda: qpoch_inf(NAN, 0.5),
+    "qpoch_inf(q=1.5)": lambda: qpoch_inf(0.5, 1.5),
+    "qpoch_inf(tol=nan)": lambda: qpoch_inf(0.5, 0.5, tol=NAN),
+    "fused_product_ratio(nan)": lambda: fused_product_ratio(NAN, 2, 4, 0.5),
+    "fused_product_ratio(tol=nan)": (
+        lambda: fused_product_ratio(2.0, 2, 4, 0.5, tol=NAN)
+    ),
+    "weight(x=nan)": lambda: weight(QContext(0.5), 0.0, NAN),
+    "weight(x=-1)": lambda: weight(QContext(0.5), 0.0, -1.0),
+    "q_integral(tol=nan)": lambda: q_integral(lambda x: x, 1, 0.5, tol=NAN),
+    "q_integral(tol=0)": lambda: q_integral(lambda x: x, 1, 0.5, tol=0.0),
+    "basic_hypergeometric(q=2)": (
+        lambda: basic_hypergeometric([0.5], [0.25], 2.0, 0.1)
+    ),
+    "fourier_coefficients(no zeros)": (
+        lambda: fourier_coefficients(QContext(0.5), 0.0, SIGNAL, NO_ZEROS)
+    ),
+    "reconstruct(no zeros)": (
+        lambda: reconstruct(QContext(0.5), 0.0, SIGNAL, NO_ZEROS, [1.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("call", INVALID_AT_THE_EDGE.values(),
+                         ids=INVALID_AT_THE_EDGE.keys())
+def test_invalid_argument_is_typed_and_immediate(call):
+    # a NaN or out-of-range argument is reported as such at once, not as
+    # a product or sum that ran out of terms, nor as a bare ValueError
+    with pytest.raises(InvalidArgument):
+        call()

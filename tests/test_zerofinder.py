@@ -3,11 +3,22 @@ stability under grid refinement, serialization round-trip, and failure
 modes of the scanner and refiner.
 """
 
+import hashlib
+import math
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigqbessel import QContext, ZeroTable, eval_J, find_zeros, refine_zero
-from bigqbessel.errors import BracketingFailure, InvalidOrder, NoSignChange
+from bigqbessel import zerofinder
+from bigqbessel.bqbessel import _j_sign
+from bigqbessel.errors import (
+    BracketingFailure,
+    InvalidArgument,
+    InvalidOrder,
+    NoSignChange,
+)
 
 import oracles
 
@@ -57,11 +68,14 @@ def test_stability_under_grid_halving(ctx05, table05):
         assert abs(a - b) <= 1e-10 * b
 
 
-def test_matches_dense_grid_oracle(table05):
-    oracle = oracles.dense_grid_zeros(0.5, 0.0, 5, 0.05, 33.0)
-    assert len(oracle) == 5
-    for got, want in zip(table05.zeros, oracle):
-        assert abs(got - want) <= 1e-8 * want
+def test_matches_dense_grid_oracle(table05, table08):
+    for table, lam_hi in ((table05, 33.0), (table08, 4.0)):
+        oracle = oracles.dense_grid_zeros(
+            table.q, table.alpha, 5, 0.05, lam_hi
+        )
+        assert len(oracle) == 5
+        for got, want in zip(table.zeros, oracle):
+            assert abs(got - want) <= 1e-8 * want
 
 
 def test_zero_table_roundtrip(table05):
@@ -109,6 +123,33 @@ def test_find_zeros_rejects_bad_inputs(ctx05):
         find_zeros(ctx05, 0.0, 0)
 
 
+INVALID_TOL_OR_COUNT = [
+    (find_zeros, (0.0, 3, math.inf), "tol must be a finite number > 0; got inf"),
+    (find_zeros, (0.0, 3, -1.0), "tol must be a finite number > 0; got -1.0"),
+    (find_zeros, (0.0, 3, 0.0), "tol must be a finite number > 0; got 0.0"),
+    (find_zeros, (0.0, 0), "count must be an integer >= 1; got 0"),
+    (find_zeros, (0.0, -2), "count must be an integer >= 1; got -2"),
+    (find_zeros, (0.0, 2.5), "count must be an integer >= 1; got 2.5"),
+    (refine_zero, (0.0, 1.0, 2.0, math.inf),
+     "tol must be a finite number > 0; got inf"),
+    (refine_zero, (0.0, 1.0, 2.0, -1.0),
+     "tol must be a finite number > 0; got -1.0"),
+    (refine_zero, (0.0, 1.0, 2.0, math.nan),
+     "tol must be a finite number > 0; got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message",
+    INVALID_TOL_OR_COUNT,
+    ids=[f"{fn.__name__}{args}" for fn, args, _ in INVALID_TOL_OR_COUNT],
+)
+def test_invalid_tol_and_count_name_the_callers_value(ctx05, fn, args, message):
+    with pytest.raises(InvalidArgument) as info:
+        fn(ctx05, *args)
+    assert str(info.value) == message
+
+
 def test_scan_ceiling_raises(ctx05):
     with pytest.raises(BracketingFailure):
         find_zeros(ctx05, 0.0, 3, max_steps=1)
@@ -118,3 +159,92 @@ def test_no_zeros_for_negative_z(ctx05):
     # realness: J_0(1, z) >= 1 for z < 0, so the lambda-zeros are real
     for z in (-0.5, -4.0, -100.0):
         assert eval_J(ctx05, 0.0, 1.0, z, tol=1e-13).value >= 1
+
+
+# sha256 of the _mpf_ tuples of zeros, derivs and residuals, as the scan
+# that evaluated J at every point produced them.
+PINNED_TABLES = {
+    (0.9, 0.5, 19, 1e-12):
+        "4eff3d272c0dbac3ff300d16ddf116855bda2849953c0c8d460c32e5e26c0ba1",
+    (0.3, 1.0, 13, 1e-30):
+        "3c77ccc8f3ee98c8cde599a828ca966ca459e18b379c3938fe15dc7bd294b9d5",
+    (0.8, 1.0, 19, 1e-30):
+        "43477ccd2b14120765c46d6de560e025c747cda8c31282e2a2ed1b309bf5266c",
+}
+
+
+def _digest(table):
+    cols = [
+        [tuple(map(int, v._mpf_)) for v in col]
+        for col in (table.zeros, table.derivs, table.residuals)
+    ]
+    return hashlib.sha256(repr(cols).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("params", PINNED_TABLES)
+def test_tables_pinned_bit_for_bit(params):
+    q, alpha, count, tol = params
+    table = find_zeros(QContext(q), alpha, count, tol=tol)
+    assert _digest(table) == PINNED_TABLES[params]
+
+
+@pytest.mark.parametrize("q,alpha,count", [(0.5, 0.0, 20), (0.9, 0.5, 19)])
+def test_scan_needs_few_J_evaluations_per_zero(monkeypatch, q, alpha, count):
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eval_J(*args, **kwargs)
+
+    monkeypatch.setattr(zerofinder, "eval_J", counted)
+    table = find_zeros(QContext(q), alpha, count, tol=1e-12)
+    assert len(table) == count
+    assert calls <= 15 * count
+
+
+def _assert_sign_certified(q, alpha, z):
+    s = _j_sign(alpha, z, q)
+    if s:
+        ref = eval_J(QContext(q), alpha, 1, z, tol=1e-40)
+        if abs(ref.value) > ref.abs_error:
+            assert s == mp.sign(ref.value), (q, alpha, z)
+    return s
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    q=st.one_of(
+        st.sampled_from([0.3, 0.5, 0.8, 0.9, 0.99]),
+        st.floats(min_value=0.05, max_value=0.99),
+    ),
+    alpha=st.floats(min_value=-0.99, max_value=3.0),
+    log_z=st.floats(min_value=-3.0, max_value=4.0),
+)
+def test_j_sign_agrees_with_J(q, alpha, log_z):
+    _assert_sign_certified(q, alpha, 10.0 ** log_z)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.9, 0.99])
+def test_j_sign_near_zeros(q):
+    # z_k (1 +- 10^-e) straddles each zero ever more closely; the sign
+    # must stay right, and far enough out it must be certified
+    table = find_zeros(QContext(q), 0.5, 3, tol=1e-12)
+    certified = 0
+    for lam in table.zeros:
+        z_k = float(lam * lam)
+        for e in range(2, 17):
+            for side in (1, -1):
+                z = z_k * (1 + side * 10.0 ** -e)
+                certified += bool(_assert_sign_certified(q, 0.5, z))
+    assert certified >= 3 * 2 * 3
+
+
+def test_j_sign_declines_values_that_are_not_doubles():
+    assert _j_sign(0.5, 0.3, 0.5) == 1
+    with mp.workprec(80):
+        z = mp.mpf(0.3) + mp.mpf(2) ** -70
+        alpha = mp.mpf(1) / 3
+    assert _j_sign(0.5, z, 0.5) == 0
+    assert _j_sign(alpha, 0.3, 0.5) == 0
+    assert _j_sign(0.5, mp.mpf(0.3), 0.5) == 1
