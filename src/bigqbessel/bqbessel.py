@@ -11,10 +11,21 @@ z < 0).  The series is
 with P_k(x) = prod_{j<k} (x^2 + q^(2j)), the stable rewriting of the
 product form (-1/x^2; q^2)_k x^(2k) that is regular at x = 0 (there
 P_k(0) = q^(k(k-1))).
+
+eval_J and eval_dJ_dz sum the series through one term ratio (_j_ratio).
+Its factors that depend on neither x nor z, q^(2alpha+2) and per term
+-q^(2k) q^(2alpha+2), q^(2k) and (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)),
+are shared by every call at the same q, alpha and working precision: they
+live in a memo keyed by (q, alpha, mpmath's precision and rounding), with
+q and alpha compared by value, that holds the _FACTOR_SLOTS keys used
+last (an LRU cache).  Each factor is the same mpmath operation on the
+same operands at the same precision as in the ratio written as one
+expression, so every value is bit-identical to that expression's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable
@@ -22,7 +33,7 @@ from typing import Callable
 import mpmath as mp
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
-from .errors import InvalidOrder, ZeroSpectralParameter
+from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
 from .qcalc import (
     QContext,
     SeriesValue,
@@ -58,6 +69,56 @@ def _log10_abs(v) -> float:
     return float(mp.log10(abs(_mpf(v)))) if v else -math.inf
 
 
+# The memo of _Factors (_factors) holds the _FACTOR_SLOTS keys used last.
+# Factor rows built per round of the benchmark's workloads, by memo size
+# (without the memo every term builds one; zero_tables: 1 round, seed 1,
+# 31 467 terms summed; lattice: 2 rounds, seed 1, 37 932 terms):
+#
+#     size   zero_tables   lattice
+#        1        21 646     8 636
+#        2         3 385     8 370
+#        4         3 355     7 841
+#        8         3 355     6 869
+#
+# The zero finder needs 2: its refine alternates eval_J and eval_dJ_dz,
+# which sum at different working precisions.  4 also serves the lattice,
+# whose columns sum at several precisions; 8 saves it little more.  In the
+# pointwise workload no key repeats, and every size builds one row per term.
+_FACTOR_SLOTS = 4
+
+
+class _Factors:
+    """The factors of r(k) that depend only on (q, alpha) and the working
+    precision: A = q^(2alpha+2) and, per row k, T_k = (-q^(2k)) A,
+    p_k = q^(2k) and D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)).  Rows are
+    built in order, on demand, at the precision of the entry's key."""
+
+    __slots__ = ("qm", "am", "A", "T", "p", "D")
+
+    def __init__(self, q, alpha):
+        self.qm = _mpf(q)
+        self.am = _mpf(alpha)
+        self.A = self.qm ** (2 * (self.am + 1))
+        self.T, self.D = [], []
+        self.p = [self.qm ** 0]
+
+    def _row(self) -> None:
+        """Append row k = len(D); q^(2k+2) is kept as p_(k+1)."""
+        k = len(self.D)
+        qm, p = self.qm, self.p
+        p.append(qm ** (2 * k + 2))
+        self.T.append(-p[k] * self.A)
+        self.D.append((1 - p[k + 1]) * (1 - qm ** (2 * self.am + 2 + 2 * k)))
+
+
+@functools.lru_cache(maxsize=_FACTOR_SLOTS)
+def _factors(q, alpha, prec: int, rounding: str) -> _Factors:
+    """The memo entry of (q, alpha) at mpmath's precision and rounding
+    (the working ones of the caller); q and alpha are keys by value, so
+    0.5 and mpf(0.5) share one."""
+    return _Factors(q, alpha)
+
+
 def _j_ratio(alpha, x, z, q):
     """The term ratio r(k) = t_{k+1}/t_k of the J series,
 
@@ -66,11 +127,20 @@ def _j_ratio(alpha, x, z, q):
 
     as the pair of callables sum_series takes, each of (k, lead):
     log10|lead r(k)| in floats for the precision pass, and lead r(k) in
-    mpf for the exact pass.  The mpf product takes lead in its first
-    multiplication, and skips it when no lead is given.
+    mpf for the exact pass.
     log10(x^2 + q^(2k)) is a log-sum of 2 log10|x| and 2k log10 q, so the
     float pass does not overflow for large |x|.  A non-finite alpha, x or
     z raises InvalidArgument.
+
+    The mpf pass reads A, T_k = (-p_k) A, p_k = q^(2k) and
+    D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)), which depend on neither x
+    nor z, from the memo entry of (q, alpha) at the current precision and
+    rounding (_factors; at most _FACTOR_SLOTS entries), and takes x^2 once
+    per precision.  It returns ((T_k (x^2 + p_k)) z) / D_k, or with a lead
+    ((((-p_k) lead) A) (x^2 + p_k)) z / D_k: the operations, operands,
+    order and precision of the one expression t A (x^2 + p_k) z / (D1 D2),
+    t = -p_k (times lead), so every value is bit-identical to that
+    expression's (tests/oracles.py keeps it as the reference).
     """
     _require_finite(alpha=alpha, x=x, z=z)
     qf = float(q)
@@ -93,22 +163,23 @@ def _j_ratio(alpha, x, z, q):
             - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
 
-    qm = _mpf(q)
     xm = _mpf(x)
     zm = _mpf(z)
-    am = _mpf(alpha)
+    # the precision and rounding, the memo entry and x^2 of the last call
+    prec_rounding, f, x2 = None, None, None
 
     def ratio(k: int, lead=None) -> mp.mpf:
-        t = -(qm ** (2 * k))
-        if lead is not None:
-            t *= lead
-        return (
-            t
-            * qm ** (2 * (am + 1))
-            * (xm * xm + qm ** (2 * k))
-            * zm
-            / ((1 - qm ** (2 * k + 2)) * (1 - qm ** (2 * am + 2 + 2 * k)))
-        )
+        nonlocal prec_rounding, f, x2
+        if prec_rounding != mp.mp._prec_rounding:
+            # a list that mpmath changes in place: keep a copy
+            prec_rounding = list(mp.mp._prec_rounding)
+            f = _factors(q, alpha, *prec_rounding)
+            x2 = xm * xm
+        while len(f.D) <= k:
+            f._row()
+        p = f.p[k]
+        t = f.T[k] if lead is None else -p * lead * f.A
+        return t * (x2 + p) * zm / f.D[k]
 
     return log_ratio, ratio
 
@@ -208,13 +279,13 @@ def eval_dJ_dz(
     if alpha <= -1:
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     # d_k = k c_k z^(k-1), with the loop index n = k - 1: the first term
-    # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  The
-    # inputs are converted to mpf once for both ratios.
-    am, xm, qm = _mpf(alpha), _mpf(x), _mpf(ctx.q)
-    log_c1, c1 = _j_ratio(am, xm, 1, qm)
+    # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  x is
+    # converted to mpf once for both ratios.
+    xm = _mpf(x)
+    log_c1, c1 = _j_ratio(alpha, xm, 1, ctx.q)
     if z == 0:
         return SeriesValue(c1(0), mp.mpf(0), 1)
-    log_ratio, ratio = _j_ratio(am, xm, z, qm)
+    log_ratio, ratio = _j_ratio(alpha, xm, z, ctx.q)
     return sum_series(
         log_c1(0),
         lambda n: log_ratio(n + 1, (n + 2) / (n + 1)),
@@ -441,7 +512,7 @@ def identity_residual(
             w = fused_product_ratio(xm * xm, 2, 1, q, tol)
             rhs = xm * q / (1 - q) * w * eval_big_cos(ctx, xm, zm, tol).value
         else:
-            raise ValueError(
+            raise InvalidArgument(
                 f"unknown identity kind {kind!r}; expected one of "
                 f"{IDENTITY_KINDS}"
             )

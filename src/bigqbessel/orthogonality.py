@@ -74,9 +74,9 @@ class QLatticeSignal:
 
     def __post_init__(self) -> None:
         if len(self.values) < 1:
-            raise ValueError("signal needs at least one lattice value")
+            raise InvalidArgument("signal needs at least one lattice value")
         if self.a <= 0:
-            raise ValueError("lattice scale a must be positive")
+            raise InvalidArgument("lattice scale a must be positive")
 
     def __len__(self) -> int:
         return len(self.values)

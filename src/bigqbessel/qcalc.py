@@ -50,7 +50,9 @@ class QContext:
 
     def __post_init__(self) -> None:
         if not 0.0 < float(self.q) < 1.0:
-            raise ValueError(f"q must lie strictly in (0, 1); got {self.q}")
+            raise InvalidArgument(
+                f"q must lie strictly in (0, 1); got {self.q}"
+            )
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,9 @@ class SeriesValue:
 
     def __post_init__(self) -> None:
         if self.abs_error < 0:
-            raise ValueError("abs_error must be nonnegative")
+            raise InvalidArgument("abs_error must be nonnegative")
         if self.terms_used < 1:
-            raise ValueError("terms_used must be at least 1")
+            raise InvalidArgument("terms_used must be at least 1")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -94,7 +96,7 @@ def _workdigits(tol: float) -> int:
 def qpoch(a, q, n: int):
     """Finite q-shifted factorial prod_{i<n} (1 - a*q^i); 1 for n = 0."""
     if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer; got {n}")
+        raise InvalidArgument(f"n must be a nonnegative integer; got {n}")
     a = _mpf(a)
     q = _mpf(q)
     p = mp.mpf(1)

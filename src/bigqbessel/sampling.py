@@ -69,7 +69,9 @@ class ReconstructionReport:
         if not (
             len(self.lambdas) == len(self.direct) == len(self.reconstructed)
         ):
-            raise ValueError("grid and value lists must have equal length")
+            raise InvalidArgument(
+                "grid and value lists must have equal length"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -62,12 +62,14 @@ class ZeroTable:
     def __post_init__(self) -> None:
         n = len(self.zeros)
         if len(self.derivs) != n or len(self.residuals) != n:
-            raise ValueError("zeros, derivs, residuals must have equal length")
+            raise InvalidArgument(
+                "zeros, derivs, residuals must have equal length"
+            )
         for a, b in zip(self.zeros, self.zeros[1:]):
             if not a < b:
-                raise ValueError("zeros must be strictly increasing")
+                raise InvalidArgument("zeros must be strictly increasing")
         if any(z <= 0 for z in self.zeros):
-            raise ValueError("zeros must be positive")
+            raise InvalidArgument("zeros must be positive")
 
     def __len__(self) -> int:
         return len(self.zeros)

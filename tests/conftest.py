@@ -5,7 +5,17 @@ orthogonality, sampling, and acceptance tests and are the most expensive
 objects in the suite.
 """
 
+import os
+
 import pytest
+
+# numpy's OpenBLAS starts a worker thread on import unless told otherwise.
+# A process-directed SIGALRM may then be delivered to that thread, so the
+# benchmark's clock test (perfbench/tests), which holds SIGALRM back with
+# pthread_sigmask in the main thread, would see samples arrive in the same
+# pytest process once the oracles have imported numpy.  The oracles' numpy
+# work is a small grid scan and needs no threads.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from bigqbessel import QContext, find_zeros
 

@@ -7,6 +7,11 @@ by a dense float64 grid scan (numpy Horner) followed by bisection on the
 brute-force series.
 Frozen constants below were produced by these same routines at 40 digits.
 
+The section before the last keeps the J term ratio as the one mpf
+expression the library evaluated before it kept its (q, alpha)-only
+factors in a memo, summed through the package's own `sum_series`: it is
+the reference for the bit-identity of `eval_J` and `eval_dJ_dz`.
+
 The last section restates four of the paper's displays that turned out
 false (the product-integral closed form, the norm formula, the sampling
 kernel and the D_{q^{-1}} constant of the big q-trig functions, as
@@ -14,6 +19,8 @@ printed).  They are built on the package's own evaluations, at
 the package's working precision, so that the tests show that the displays,
 not the evaluation, disagree with the direct computation.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +33,8 @@ from bigqbessel import (
     fused_product_ratio,
     q_derivative_inv,
 )
-from bigqbessel.qcalc import _mpf, _workdigits
+from bigqbessel.bqbessel import _log10_abs
+from bigqbessel.qcalc import SeriesValue, _mpf, _workdigits, sum_series
 
 # --- frozen constants (independent brute-force series, 40-digit run) ----
 
@@ -198,6 +206,78 @@ def dense_grid_zeros(q, alpha, count, lam_lo, lam_hi, n=400000, dps=40):
                     a, fa = m, fm
             out.append((a + b) / 2)
     return out
+
+
+# --- the J term ratio as one expression ----------------------------------
+
+
+def ratio_expression(alpha, x, z, q):
+    """The pair (log10|lead r(k)|, lead r(k)) of the J series as
+    sum_series takes it, with r(k) as one mpf expression per term:
+
+        r(k) = -q^(2k) q^(2alpha+2) (x^2 + q^(2k)) z
+               / ((1 - q^(2k+2)) (1 - q^(2alpha+2+2k))),
+
+    every q-power recomputed at the precision of the call."""
+    qf = float(q)
+    af = float(alpha)
+    lq = math.log10(qf)
+    lx2 = 2 * _log10_abs(x)
+    lz = _log10_abs(z)
+
+    def log_ratio(k, lead=1.0):
+        lp = 2 * k * lq
+        hi, lo = max(lx2, lp), min(lx2, lp)
+        return (
+            math.log10(lead)
+            + lp
+            + 2 * (af + 1) * lq
+            + hi
+            + math.log10(1 + 10 ** (lo - hi))
+            + lz
+            - math.log10(1 - qf ** (2 * k + 2))
+            - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
+        )
+
+    qm, xm, zm, am = _mpf(q), _mpf(x), _mpf(z), _mpf(alpha)
+
+    def ratio(k, lead=None):
+        t = -(qm ** (2 * k))
+        if lead is not None:
+            t *= lead
+        return (
+            t
+            * qm ** (2 * (am + 1))
+            * (xm * xm + qm ** (2 * k))
+            * zm
+            / ((1 - qm ** (2 * k + 2)) * (1 - qm ** (2 * am + 2 + 2 * k)))
+        )
+
+    return log_ratio, ratio
+
+
+def expression_J(q, alpha, x, z, tol):
+    """eval_J's series summed with ratio_expression."""
+    if z == 0:
+        return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
+    log_ratio, ratio = ratio_expression(alpha, x, z, q)
+    return sum_series(0.0, log_ratio, lambda: mp.mpf(1), ratio, tol)
+
+
+def expression_dJ_dz(q, alpha, x, z, tol):
+    """eval_dJ_dz's series summed with ratio_expression: first term r(0)
+    at z = 1, ratio (n+2)/(n+1) r(n+1)."""
+    log_c1, c1 = ratio_expression(alpha, x, 1, q)
+    if z == 0:
+        return SeriesValue(c1(0), mp.mpf(0), 1)
+    log_ratio, ratio = ratio_expression(alpha, x, z, q)
+    return sum_series(
+        log_c1(0),
+        lambda n: log_ratio(n + 1, (n + 2) / (n + 1)),
+        lambda: c1(0),
+        lambda n: ratio(n + 1, mp.mpf(n + 2) / (n + 1)),
+        tol,
+    )
 
 
 # --- displays as printed in the paper (shown false by the tests) --------

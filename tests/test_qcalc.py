@@ -11,11 +11,13 @@ import pytest
 from bigqbessel import (
     QContext,
     QLatticeSignal,
+    ReconstructionReport,
     SeriesValue,
     ZeroTable,
     basic_hypergeometric,
     fourier_coefficients,
     fused_product_ratio,
+    identity_residual,
     q_derivative,
     q_derivative_inv,
     q_integral,
@@ -202,5 +204,37 @@ INVALID_AT_THE_EDGE = {
 def test_invalid_argument_is_typed_and_immediate(call):
     # a NaN or out-of-range argument is reported as such at once, not as
     # a product or sum that ran out of terms, nor as a bare ValueError
+    with pytest.raises(InvalidArgument):
+        call()
+
+
+INVALID_AT_CONSTRUCTION = {
+    "QContext(q=1.5)": lambda: QContext(1.5),
+    "QContext(q=0)": lambda: QContext(0.0),
+    "SeriesValue(abs_error<0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(-1), 1),
+    "SeriesValue(terms_used=0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(0), 0),
+    "qpoch(n=-1)": lambda: qpoch(0.5, 0.5, -1),
+    "qpoch(n=1.5)": lambda: qpoch(0.5, 0.5, 1.5),
+    "QLatticeSignal(empty)": lambda: QLatticeSignal([]),
+    "QLatticeSignal(a=0)": lambda: QLatticeSignal([1.0], a=0.0),
+    "ZeroTable(lengths)": lambda: ZeroTable(0.5, 0.0, [1.0], [], []),
+    "ZeroTable(order)": (
+        lambda: ZeroTable(0.5, 0.0, [2.0, 1.0], [1, 1], [0, 0])
+    ),
+    "ZeroTable(sign)": lambda: ZeroTable(0.5, 0.0, [-1.0], [1.0], [0.0]),
+    "ReconstructionReport(lengths)": (
+        lambda: ReconstructionReport([1.0], [], [], mp.mpf(0), 1)
+    ),
+    "identity_residual(kind)": (
+        lambda: identity_residual(QContext(0.5), "no-such-kind", 0, 1, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", INVALID_AT_CONSTRUCTION.values(),
+                         ids=INVALID_AT_CONSTRUCTION.keys())
+def test_invalid_value_is_typed_at_construction(call):
+    # the dataclass checks and the kind check raise the library's own
+    # error, which is still a ValueError
     with pytest.raises(InvalidArgument):
         call()
