@@ -280,11 +280,10 @@ def eval_dJ_dz(
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     # d_k = k c_k z^(k-1), with the loop index n = k - 1: the first term
     # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  x is
-    # converted to mpf once for both ratios.
+    # converted to mpf once for both ratios.  At z = 0 every ratio is 0,
+    # and the sum is c_1 alone.
     xm = _mpf(x)
     log_c1, c1 = _j_ratio(alpha, xm, 1, ctx.q)
-    if z == 0:
-        return SeriesValue(c1(0), mp.mpf(0), 1)
     log_ratio, ratio = _j_ratio(alpha, xm, z, ctx.q)
     return sum_series(
         log_c1(0),
@@ -318,11 +317,24 @@ def eval_big_sin(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
 
 def classical_j(alpha, t):
     """Normalized classical Bessel function j_alpha(t) = 0F1(alpha+1; -t^2/4),
-    the q -> 1 limit target of the rescaled big q-Bessel function."""
+    the q -> 1 limit target of the rescaled big q-Bessel function, at the
+    caller's precision."""
     if alpha <= -1:
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     t = _mpf(t)
     return mp.hyp0f1(_mpf(alpha) + 1, -t * t / 4)
+
+
+def _recurrence_args(ctx: QContext, alpha, x, z):
+    """(q, alpha, x, z) as mpf for the recurrences, which need alpha > 0
+    and z != 0."""
+    if alpha <= 0:
+        raise InvalidOrder(
+            f"alpha must exceed 0 so that alpha-1 > -1; got {alpha}"
+        )
+    if z == 0:
+        raise ZeroSpectralParameter("recurrence undefined at z = 0")
+    return _mpf(ctx.q), _mpf(alpha), _mpf(x), _mpf(z)
 
 
 def recurrence_alpha_step(ctx: QContext, alpha, x, z, J_prev, J_curr):
@@ -334,16 +346,7 @@ def recurrence_alpha_step(ctx: QContext, alpha, x, z, J_prev, J_curr):
 
     All three orders must exceed -1, i.e. alpha > 0.
     """
-    if alpha <= 0:
-        raise InvalidOrder(
-            f"alpha must exceed 0 so that alpha-1 > -1; got {alpha}"
-        )
-    if z == 0:
-        raise ZeroSpectralParameter("recurrence undefined at z = 0")
-    q = _mpf(ctx.q)
-    a = _mpf(alpha)
-    x = _mpf(x)
-    z = _mpf(z)
+    q, a, x, z = _recurrence_args(ctx, alpha, x, z)
     qa = q ** (2 * a)
     pref = (1 - q ** (2 * a + 2)) / (z * qa * (q ** (2 * a + 2) * x * x + 1))
     return pref * (
@@ -361,16 +364,7 @@ def recurrence_shifted(ctx: QContext, alpha, x, z, J_prev, J_curr):
     the coefficient (1-q^(2a)) multiplies the whole bracket (the display
     that attaches it to J_alpha only does not match a direct evaluation).
     """
-    if alpha <= 0:
-        raise InvalidOrder(
-            f"alpha must exceed 0 so that alpha-1 > -1; got {alpha}"
-        )
-    if z == 0:
-        raise ZeroSpectralParameter("recurrence undefined at z = 0")
-    q = _mpf(ctx.q)
-    a = _mpf(alpha)
-    x = _mpf(x)
-    z = _mpf(z)
+    q, a, x, z = _recurrence_args(ctx, alpha, x, z)
     pref = (
         (1 - q ** (2 * a + 2))
         * (1 - q ** (2 * a))

@@ -28,18 +28,11 @@ from .orthogonality import (
     lommel_rhs_closed,
     weight,
 )
-from .qcalc import QContext
+from .qcalc import QContext, _workdigits
 from .sampling import q_hankel_transform, reconstruct, sampling_kernel
 from .zerofinder import ZeroTable, find_zeros
 
-__all__ = ["RunPlan", "parse_args", "execute", "main"]
-
-
-@dataclass(frozen=True)
-class RunPlan:
-    command: str
-    params: dict
-    output_format: str = "json"
+__all__ = ["main"]
 
 
 def _finite_mpf(v) -> mp.mpf:
@@ -159,18 +152,21 @@ def _verify_sampling(ctx: QContext, alpha, tol, table) -> List[dict]:
     entries.append(
         {"id": "kernel-delta-property", "params": {"n": 3}, "residual": worst}
     )
-    delta = QLatticeSignal(values=[1 / (1 - float(ctx.q))], a=1.0)
     lam = 0.7
-    got = q_hankel_transform(ctx, alpha, delta, lam, tol).value
-    want = (
-        weight(ctx, alpha, 1, tol)
-        * eval_J(ctx, alpha + 1, 1, mp.mpf(lam) ** 2, tol).value
-    )
+    # the signal and both sides at the transform's working precision
+    with mp.workdps(_workdigits(tol)):
+        delta = QLatticeSignal(values=[1 / (1 - mp.mpf(ctx.q))], a=1.0)
+        got = q_hankel_transform(ctx, alpha, delta, lam, tol).value
+        want = (
+            weight(ctx, alpha, 1, tol)
+            * eval_J(ctx, mp.mpf(alpha) + 1, 1, mp.mpf(lam) ** 2, tol).value
+        )
+        residual = float(abs(got - want) / max(1, abs(want)))
     entries.append(
         {
             "id": "delta-signal-transform-closed-form",
             "params": {"lambda": lam},
-            "residual": float(abs(got - want) / max(1, abs(want))),
+            "residual": residual,
         }
     )
     sig = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
@@ -363,10 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_args(argv: List[str]) -> RunPlan:
-    """Validate argv into a RunPlan; exits with code 2 on usage errors."""
+def main(argv: List[str] | None = None) -> int:
+    """Run the command in argv (default sys.argv[1:]), write its document
+    to stdout and return the exit code: 0 ok, 1 verification failure, 3
+    numeric or IO failure.  A usage error exits with code 2."""
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
     for name, v in vars(ns).items():
         if isinstance(v, float) and not math.isfinite(v):
             opt = "lambda" if name == "lam" else name
@@ -375,23 +373,15 @@ def parse_args(argv: List[str]) -> RunPlan:
         parser.error(f"--q must lie in (0, {Q_MAX}]; got {ns.q}")
     if ns.tol <= 0:
         parser.error(f"--tol must be positive; got {ns.tol}")
-    floor = _COMMANDS[ns.command].alpha_floor
+    cmd = _COMMANDS[ns.command]
+    floor = cmd.alpha_floor
     if ns.alpha <= floor:
         parser.error(f"--alpha must exceed {floor} for {ns.command}; got {ns.alpha}")
     if getattr(ns, "count", None) is not None and ns.count < 1:
         parser.error("--count must be >= 1")
-    params = {k: v for k, v in vars(ns).items() if k not in ("command", "format")}
-    return RunPlan(ns.command, params, ns.format)
-
-
-def execute(plan: RunPlan) -> int:
-    """Run the plan, write the document to stdout, and return the exit
-    code (0 ok, 1 verification failure, 3 numeric failure)."""
-    cmd = _COMMANDS[plan.command]
-    p = plan.params
     try:
-        doc = cmd.run(QContext(p["q"]), p)
-        if plan.output_format == "csv":
+        doc = cmd.run(QContext(ns.q), vars(ns))
+        if ns.format == "csv":
             out = _jsonio.rows_to_csv(*cmd.csv(doc))
         else:
             out = _jsonio.dumps(doc) + "\n"
@@ -400,11 +390,6 @@ def execute(plan: RunPlan) -> int:
         return 3
     sys.stdout.write(out)
     return 1 if cmd.failed(doc) else 0
-
-
-def main(argv: List[str] | None = None) -> int:
-    plan = parse_args(sys.argv[1:] if argv is None else argv)
-    return execute(plan)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ public call builds and drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 import mpmath as mp
@@ -99,16 +99,15 @@ class GramReport:
     max_offdiag_rel: mp.mpf
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": [list(row) for row in self.matrix],
-            "norm_closed": list(self.norm_closed),
-            "max_offdiag_rel": self.max_offdiag_rel,
-        }
+        return asdict(self)
 
 
 def weight(ctx: QContext, alpha, x, tol: float = DEFAULT_TOL):
     """Inner-product weight x (-x^2 q^2; q^2)_inf / (-x^2 q^(2a+4); q^2)_inf
-    computed as one fused product."""
+    computed as one fused product, at the caller's precision: tol sets only
+    the truncation, so weight(QContext(0.5), 0, 0.7, tol=1e-30) carries 16
+    digits at mpmath's default 53 bits.  The lattice sums call it inside
+    their working precision."""
     if not x >= 0:
         raise InvalidArgument(f"weight is defined for x >= 0; got {x}")
     if x == 0:
@@ -277,6 +276,14 @@ def _check_scale(f: QLatticeSignal) -> None:
         )
 
 
+def _check_table(ctx: QContext, alpha, table: ZeroTable) -> None:
+    if table.q != float(ctx.q) or table.alpha != float(alpha):
+        raise InvalidArgument(
+            f"the zero table is for (q, alpha) = ({table.q}, {table.alpha}), "
+            f"the call for ({float(ctx.q)}, {float(alpha)})"
+        )
+
+
 def norm_sq_closed(
     ctx: QContext,
     alpha,
@@ -336,6 +343,7 @@ def gram_matrix(
     """
     if alpha <= -0.5:
         raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
+    _check_table(ctx, alpha, table)
     n = len(table)
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, 1.0, tol)
@@ -372,6 +380,7 @@ def fourier_coefficients(
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
     _check_scale(f)
+    _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, 1.0, tol)
         coeffs = []
@@ -396,6 +405,7 @@ def fourier_partial_sum(
         raise LengthMismatch(
             f"{len(coeffs)} coefficients vs {len(table)} zeros"
         )
+    _check_table(ctx, alpha, table)
     am = _mpf(alpha)
     x = _mpf(x)
     with mp.workdps(_workdigits(tol)):

@@ -5,6 +5,10 @@ q-derivatives, and the Jackson q-integral.  All series operations follow a
 single truncation rule: stop at index k once |term_k| <= tol*max(1, |S|)
 and the next term ratio is certified below some r < 1; the reported tail
 bound is |term_{k+1}|/(1-r).
+
+qpoch, fused_product_ratio, the q-derivatives, q_integral and jackson_sum
+compute at the caller's precision, and their tol sets only the truncation;
+L1-L3 call them inside the working precision of their own call.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ def _workdigits(tol: float) -> int:
 
 
 def qpoch(a, q, n: int):
-    """Finite q-shifted factorial prod_{i<n} (1 - a*q^i); 1 for n = 0."""
+    """Finite q-shifted factorial prod_{i<n} (1 - a*q^i); 1 for n = 0, at
+    the caller's precision."""
     if n < 0 or n != int(n):
         raise InvalidArgument(f"n must be a nonnegative integer; got {n}")
     a = _mpf(a)
@@ -143,7 +148,8 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     This evaluates weight ratios such as
     (-x^2 q^{e_num}; q^2)_inf / (-x^2 q^{e_den}; q^2)_inf
     as one fused product, avoiding overflow/underflow of the separately
-    huge/tiny factors for large x2.
+    huge/tiny factors for large x2.  At the caller's precision; tol sets
+    only the truncation.
     """
     _require_finite(x2=x2, e_num=e_num, e_den=e_den, q=q)
     if not tol > 0:
@@ -269,17 +275,15 @@ def basic_hypergeometric(
         return top / bot * zm * ((-1) * qm**k) ** excess
 
     def ratio_log(k: int) -> float:
-        try:
-            rr = float(abs(ratio_m(k)))
-        except PoleInDenominator:
-            raise
+        rr = float(abs(ratio_m(k)))
         return math.log10(rr) if rr > 0 else -1e9
 
     return sum_series(0.0, ratio_log, lambda: mp.mpf(1), ratio_m, tol)
 
 
 def q_derivative(f: Callable, x, q):
-    """q-difference quotient (f(x) - f(qx)) / ((1-q) x)."""
+    """q-difference quotient (f(x) - f(qx)) / ((1-q) x), at the caller's
+    precision."""
     if x == 0:
         raise ZeroArgument("q_derivative is undefined at x = 0")
     x = _mpf(x)
@@ -288,7 +292,8 @@ def q_derivative(f: Callable, x, q):
 
 
 def q_derivative_inv(f: Callable, x, q):
-    """Inverse-base difference quotient (f(x) - f(x/q)) / ((1 - 1/q) x)."""
+    """Inverse-base difference quotient (f(x) - f(x/q)) / ((1 - 1/q) x), at
+    the caller's precision."""
     if x == 0:
         raise ZeroArgument("q_derivative_inv is undefined at x = 0")
     x = _mpf(x)
@@ -298,7 +303,7 @@ def q_derivative_inv(f: Callable, x, q):
 
 def q_integral(f: Callable, a, q, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Jackson q-integral (1-q) a sum_n f(a q^n) q^n over [0, a], with the
-    tail rule of jackson_sum."""
+    tail rule of jackson_sum, at the caller's precision."""
     a = _mpf(a)
     q = _mpf(q)
     return jackson_sum(lambda n: f(a * q**n), a, q, tol)
@@ -312,7 +317,8 @@ def jackson_sum(
 
     The tail is bounded by a*q^(N+1)*sup|f|, with sup|f| estimated as twice
     the max over the first 64 lattice points; the estimate is enlarged on
-    the fly if later samples exceed it, which keeps the bound honest.
+    the fly if later samples exceed it, which keeps the bound honest.  The
+    sum is taken at the caller's precision; tol sets only where it stops.
     """
     _require_finite(a=a)
     if a <= 0:

@@ -22,7 +22,7 @@ it is restated in tests/oracles.py, where the tests show that it fails.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, NamedTuple
 
 import mpmath as mp
@@ -30,7 +30,7 @@ import mpmath as mp
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
 from .errors import AtPole, IndexOutOfRange, InvalidArgument, InvalidOrder
-from .orthogonality import QLatticeSignal, _check_scale, _Lattice
+from .orthogonality import QLatticeSignal, _check_scale, _check_table, _Lattice
 from .qcalc import QContext, SeriesValue, _mpf, _workdigits
 from .zerofinder import ZeroTable
 
@@ -74,13 +74,7 @@ class ReconstructionReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "direct": list(self.direct),
-            "reconstructed": list(self.reconstructed),
-            "max_rel_err": self.max_rel_err,
-            "terms": self.terms,
-        }
+        return asdict(self)
 
 
 class ClosedSumResult(NamedTuple):
@@ -100,10 +94,9 @@ def q_hankel_transform(
     _check_order(alpha)
     _check_scale(f)
     lam = _mpf(lam)
-    z = lam * lam
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, 1.0, tol)
-        return lat.integral(f.values, lat.column(z))
+        return lat.integral(f.values, lat.column(lam * lam))
 
 
 def _kernel(table: ZeroTable, k: int, lam, z, num):
@@ -133,6 +126,7 @@ def sampling_kernel(
         raise IndexOutOfRange(
             f"kernel index {k} outside table of {len(table)} zeros"
         )
+    _check_table(ctx, alpha, table)
     lam = _mpf(lam)
     with mp.workdps(_workdigits(tol)):
         z = lam * lam
@@ -154,6 +148,7 @@ def reconstruct(
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
     _check_scale(f)
+    _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
         lat = _Lattice(ctx, alpha, 1.0, tol)
         samples = [
@@ -194,6 +189,7 @@ def closed_sum_check(
     inconsistent dimensionally in lambda; the form above is the one the
     reconstruction theorem actually produces.)
     """
+    _check_table(ctx, alpha, table)
     am = _mpf(alpha)
     lam = _mpf(lam)
     with mp.workdps(_workdigits(tol)):

@@ -16,14 +16,17 @@ a-priori bound on its error; only where it cannot (near a zero, or where
 the terms cancel too much for doubles) does the scan evaluate J with
 eval_J.  A certified sign is the sign of J, which eval_J's value also has
 wherever |J| exceeds eval_J's error, so the scan builds the brackets that
-evaluating J at every point builds; refine_zero evaluates J as before.
+evaluating J at every point builds.  refine_zero returns J at its zero,
+from its last Newton step, and find_zeros keeps it as the residual.  The
+scan runs at mpmath's default 53 bits, so a table does not depend on the
+caller's precision.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Tuple
 
 import mpmath as mp
@@ -85,13 +88,7 @@ class ZeroTable:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "alpha": self.alpha,
-            "zeros": list(self.zeros),
-            "derivs": list(self.derivs),
-            "residuals": list(self.residuals),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZeroTable":
@@ -118,10 +115,11 @@ def _eval_tol(tol) -> float:
 
 def refine_zero(
     ctx: QContext, alpha, z_lo, z_hi, tol: float = RESIDUAL_TOL
-) -> Tuple[mp.mpf, mp.mpf]:
+) -> Tuple[mp.mpf, mp.mpf, mp.mpf]:
     """Refine one bracket [z_lo, z_hi] with g(z_lo) g(z_hi) < 0, where
     g(z) = J_alpha(1, sqrt(z); q^2), to a zero z* with |g(z*)| <= tol;
-    returns (z*, dJ/dlambda at lambda = sqrt(z*)).
+    returns (z*, dJ/dlambda at lambda = sqrt(z*), g(z*)).  g(z*) is the
+    value of the last Newton step, or of the bracket end where g is 0.
 
     Bisection narrows the bracket to a safe relative width, then Newton in
     z polishes; each Newton iterate is kept inside the current bracket
@@ -148,9 +146,9 @@ def refine_zero(
         z_lo = +z_lo
         z_hi = +z_hi
         if g_lo == 0:
-            z = z_lo
+            z, gv = z_lo, g_lo
         elif g_hi == 0:
-            z = z_hi
+            z, gv = z_hi, g_hi
         elif g_lo * g_hi > 0:
             raise NoSignChange(
                 f"no sign change on [{mp.nstr(z_lo)}, {mp.nstr(z_hi)}]"
@@ -189,7 +187,7 @@ def refine_zero(
         deriv = (
             2 * mp.sqrt(z) * eval_dJ_dz(ctx, alpha, 1, z, tol=eval_tol).value
         )
-        return +z, +deriv
+        return +z, +deriv, gv
 
 
 def _geometric(z, ratio) -> List[mp.mpf]:
@@ -221,61 +219,62 @@ def find_zeros(
     if not (isinstance(count, numbers.Integral) and count >= 1):
         raise InvalidArgument(f"count must be an integer >= 1; got {count!r}")
     eval_tol = _eval_tol(tol)
-    rho_m = mp.mpf(ctx.q) ** RHO_EXPONENT if rho is None else mp.mpf(rho)
-    zeros: List[mp.mpf] = []
-    derivs: List[mp.mpf] = []
-    residuals: List[mp.mpf] = []
+    with mp.workprec(53):
+        rho_m = mp.mpf(ctx.q) ** RHO_EXPONENT if rho is None else mp.mpf(rho)
+        zeros: List[mp.mpf] = []
+        derivs: List[mp.mpf] = []
+        residuals: List[mp.mpf] = []
 
-    def sign(z):
-        # the certified sign where the double sum gives one, else J itself
-        return _j_sign(alpha, z, ctx.q) or _g(ctx, alpha, z, eval_tol)
+        def sign(z):
+            # the certified sign where the double sum gives one, else J
+            return _j_sign(alpha, z, ctx.q) or _g(ctx, alpha, z, eval_tol)
 
-    z_lo = mp.mpf(Z_START)
-    g_lo = sign(z_lo)
-    steps = 0
-    while len(zeros) < count:
-        if steps >= max_steps:
-            raise BracketingFailure(
-                f"scan ceiling of {max_steps} steps reached with only "
-                f"{len(zeros)} of {count} zeros bracketed; raise the ceiling"
-            )
-        z_hi = z_lo * rho_m
-        sub_z = _geometric(z_lo, rho_m)
-        sub_g = [g_lo] + [sign(z) for z in sub_z[1:]]
-        brackets = []
-        for i in range(SUBDIVISIONS):
-            if sub_g[i] * sub_g[i + 1] < 0:
-                # Cut the sign change once more to catch a hidden pair.
-                cut_z = _geometric(sub_z[i], sub_z[i + 1] / sub_z[i])
-                cut_g = (
-                    [sub_g[i]]
-                    + [sign(z) for z in cut_z[1:-1]]
-                    + [sub_g[i + 1]]
-                )
-                inner = [
-                    (cut_z[k], cut_z[k + 1])
-                    for k in range(SUBDIVISIONS)
-                    if cut_g[k] * cut_g[k + 1] < 0
-                ]
-                brackets.extend(inner or [(sub_z[i], sub_z[i + 1])])
-        for zl, zr in brackets:
-            z_star, deriv = refine_zero(ctx, alpha, zl, zr, tol)
-            resid = abs(_g(ctx, alpha, z_star, eval_tol))
-            if abs(deriv) < SIMPLICITY_FLOOR:
+        z_lo = mp.mpf(Z_START)
+        g_lo = sign(z_lo)
+        steps = 0
+        while len(zeros) < count:
+            if steps >= max_steps:
                 raise BracketingFailure(
-                    f"derivative {mp.nstr(deriv)} below the simplicity "
-                    f"floor at z = {mp.nstr(z_star)}"
+                    f"scan ceiling of {max_steps} steps reached with only "
+                    f"{len(zeros)} of {count} zeros bracketed; raise the "
+                    "ceiling"
                 )
-            # Take the square root at (at least) the precision the refined
-            # root carries, not at the ambient working precision.
-            root_prec = max(mp.mp.prec, z_star._mpf_[1].bit_length() + 10)
-            with mp.workprec(root_prec):
-                lam_star = mp.sqrt(z_star)
-            zeros.append(lam_star)
-            derivs.append(deriv)
-            residuals.append(resid)
-            if len(zeros) == count:
-                break
-        z_lo, g_lo = z_hi, sub_g[-1]
-        steps += 1
-    return ZeroTable(float(ctx.q), float(alpha), zeros, derivs, residuals)
+            z_hi = z_lo * rho_m
+            sub_z = _geometric(z_lo, rho_m)
+            sub_g = [g_lo] + [sign(z) for z in sub_z[1:]]
+            brackets = []
+            for i in range(SUBDIVISIONS):
+                if sub_g[i] * sub_g[i + 1] < 0:
+                    # Cut the sign change once more to catch a hidden pair.
+                    cut_z = _geometric(sub_z[i], sub_z[i + 1] / sub_z[i])
+                    cut_g = (
+                        [sub_g[i]]
+                        + [sign(z) for z in cut_z[1:-1]]
+                        + [sub_g[i + 1]]
+                    )
+                    inner = [
+                        (cut_z[k], cut_z[k + 1])
+                        for k in range(SUBDIVISIONS)
+                        if cut_g[k] * cut_g[k + 1] < 0
+                    ]
+                    brackets.extend(inner or [(sub_z[i], sub_z[i + 1])])
+            for zl, zr in brackets:
+                z_star, deriv, g_star = refine_zero(ctx, alpha, zl, zr, tol)
+                if abs(deriv) < SIMPLICITY_FLOOR:
+                    raise BracketingFailure(
+                        f"derivative {mp.nstr(deriv)} below the simplicity "
+                        f"floor at z = {mp.nstr(z_star)}"
+                    )
+                # Take the square root at (at least) the precision the
+                # refined root carries, not at the scan's 53 bits.
+                root_prec = max(mp.mp.prec, z_star._mpf_[1].bit_length() + 10)
+                with mp.workprec(root_prec):
+                    lam_star = mp.sqrt(z_star)
+                zeros.append(lam_star)
+                derivs.append(deriv)
+                residuals.append(abs(g_star))
+                if len(zeros) == count:
+                    break
+            z_lo, g_lo = z_hi, sub_g[-1]
+            steps += 1
+        return ZeroTable(float(ctx.q), float(alpha), zeros, derivs, residuals)

@@ -268,8 +268,6 @@ def expression_dJ_dz(q, alpha, x, z, tol):
     """eval_dJ_dz's series summed with ratio_expression: first term r(0)
     at z = 1, ratio (n+2)/(n+1) r(n+1)."""
     log_c1, c1 = ratio_expression(alpha, x, 1, q)
-    if z == 0:
-        return SeriesValue(c1(0), mp.mpf(0), 1)
     log_ratio, ratio = ratio_expression(alpha, x, z, q)
     return sum_series(
         log_c1(0),

@@ -104,6 +104,9 @@ def test_eval_dJ_dz_matches_finite_difference():
         (0.8, 0.5, 1.0, oracles.ZEROS_Q08_A05[4] ** 2),
         (0.3, 1.0, 1.7, -24.0),
         (0.5, -0.75, 0.3, 1e3),
+        (0.5, 0.0, 1.0, 0.0),
+        (0.3, 1.0, 1.7, 0.0),
+        (0.8, 0.5, 0.0, 0.0),
     ],
 )
 def test_eval_dJ_dz_abs_error_bounds_brute_series(q, alpha, x, z):

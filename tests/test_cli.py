@@ -152,6 +152,19 @@ def test_verify_sampling_passes(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("q,alpha", [("0.5", "0"), ("0.3", "1")])
+def test_verify_delta_signal_checks_the_identity(capsys, q, alpha):
+    # both sides at the working precision: the residual is the identity's,
+    # not the rounding of 1/(1-q) or of lambda^2 to doubles
+    code, out, _ = run(
+        capsys, ["verify", "--q", q, "--alpha", alpha, "--suite", "sampling"]
+    )
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    delta = [e for e in entries if e["id"].startswith("delta-signal")]
+    assert len(delta) == 1 and delta[0]["residual"] <= 1e-25
+
+
 def test_verify_orthogonality_reports_honest_failure(capsys):
     # the suite includes the off-diagonal Gram check; since the claimed
     # orthogonality relation is numerically false, the suite must exit 1
@@ -214,6 +227,23 @@ def test_numeric_failure_fourier_off_unit_scale(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 3
     assert "scale-1 lattice; got a=0.5" in err
+
+
+def test_numeric_failure_table_of_another_q(capsys, tmp_path):
+    code, out, _ = run(capsys, ["zeros", "--q", "0.5", "--count", "3"])
+    assert code == 0
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(out)
+    sig = tmp_path / "signal.json"
+    sig.write_text('{"a": 1.0, "values": [1.0, -0.5]}')
+    code, out, err = run(
+        capsys,
+        ["sample", "--q", "0.55", "--signal", str(sig), "--zeros", str(zeros),
+         "--lambdas", "[0.7]"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "(0.5, 0.0)" in err and "(0.55, 0.0)" in err
 
 
 def test_float_formatting_17_digits():

@@ -173,12 +173,11 @@ def test_lattice_sums_match_direct_paths(q, alpha):
     rep = gram_matrix(ctx, alpha, table, tol)
     coeffs = fourier_coefficients(ctx, alpha, f, table, tol)
     transforms = [q_hankel_transform(ctx, alpha, f, lam, tol) for lam in lams]
-    # q_hankel_transform squares lambda before raising the precision
-    lam_zs = [lam * lam for lam in lams]
     qm = mp.mpf(q)
     am = mp.mpf(alpha)
     with mp.workdps(_workdigits(tol)):
         zs = [j * j for j in table.zeros]
+        lam_zs = [lam * lam for lam in lams]
 
         def wjj(x, zi, zj):
             return (

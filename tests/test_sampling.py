@@ -14,6 +14,9 @@ from bigqbessel import (
     closed_sum_check,
     eval_J,
     find_zeros,
+    fourier_coefficients,
+    fourier_partial_sum,
+    gram_matrix,
     q_hankel_transform,
     qpoch_inf,
     reconstruct,
@@ -22,6 +25,7 @@ from bigqbessel import (
 from bigqbessel.errors import (
     AtPole,
     IndexOutOfRange,
+    InvalidArgument,
     InvalidOrder,
     ScaleMismatch,
 )
@@ -46,6 +50,41 @@ def test_delta_signal_transform_closed_form(ctx05, ctx08):
                 ctx, alpha + 1, 1, mp.mpf(lam) ** 2, 1e-14
             ).value
             assert abs(got - want) <= 1e-12 * max(1, abs(want))
+
+
+def test_transform_squares_lambda_at_working_precision(ctx05, table05):
+    # lambda^2 rounded to 53 bits would cost the 1e-30 transform its
+    # digits beyond 1e-17; the transform is reconstruct's direct value
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125, 2.0, -1.0], a=1.0)
+    lams = [0.7, 3.3]
+    rep = reconstruct(ctx05, 0.0, f, table05, lams, tol=1e-30)
+    for lam, direct in zip(lams, rep.direct):
+        got = q_hankel_transform(ctx05, 0.0, f, lam, tol=1e-30).value
+        want = q_hankel_transform(ctx05, 0.0, f, lam, tol=1e-65).value
+        assert abs(got - want) <= 1e-28
+        assert got._mpf_ == direct._mpf_
+
+
+TABLE_USERS = {
+    "gram_matrix": lambda ctx, a, f, t: gram_matrix(ctx, a, t),
+    "fourier_coefficients":
+        lambda ctx, a, f, t: fourier_coefficients(ctx, a, f, t),
+    "fourier_partial_sum":
+        lambda ctx, a, f, t: fourier_partial_sum(ctx, a, [1] * len(t), t, 0.5),
+    "sampling_kernel": lambda ctx, a, f, t: sampling_kernel(ctx, a, t, 0, 0.7),
+    "reconstruct": lambda ctx, a, f, t: reconstruct(ctx, a, f, t, [0.7]),
+    "closed_sum_check": lambda ctx, a, f, t: closed_sum_check(ctx, a, t, 0.7),
+}
+
+
+@pytest.mark.parametrize("q,alpha", [(0.55, 0.0), (0.5, 0.2)])
+@pytest.mark.parametrize("name", list(TABLE_USERS))
+def test_zero_table_must_match_the_call(table05, name, q, alpha):
+    f = QLatticeSignal(values=[1.0, -0.5], a=1.0)
+    with pytest.raises(InvalidArgument) as exc:
+        TABLE_USERS[name](QContext(q), alpha, f, table05)
+    assert "(0.5, 0.0)" in str(exc.value)
+    assert f"({q}, {alpha})" in str(exc.value)
 
 
 def test_transform_is_linear(ctx05):

@@ -108,7 +108,7 @@ def test_refine_zero_requires_sign_change(ctx05):
 
 def test_refine_zero_on_oracle_bracket(ctx05):
     lam1 = oracles.ZEROS_Q05_A0[0]
-    z, deriv = refine_zero(
+    z, deriv, _ = refine_zero(
         ctx05, 0.0, float(lam1) ** 2 * 0.9, float(lam1) ** 2 * 1.1,
         tol=1e-12,
     )
@@ -201,6 +201,21 @@ def test_scan_needs_few_J_evaluations_per_zero(monkeypatch, q, alpha, count):
     table = find_zeros(QContext(q), alpha, count, tol=1e-12)
     assert len(table) == count
     assert calls <= 15 * count
+
+
+def test_find_zeros_repeats_no_J_evaluation(monkeypatch):
+    # the residual of a zero is J from the last Newton step, not a new
+    # evaluation at the same point
+    calls = []
+
+    def recorded(ctx, alpha, x, z, tol):
+        calls.append((ctx.q, alpha, x, getattr(z, "_mpf_", z), tol))
+        return eval_J(ctx, alpha, x, z, tol)
+
+    monkeypatch.setattr(zerofinder, "eval_J", recorded)
+    table = find_zeros(QContext(0.5), 0.0, 20, tol=1e-12)
+    assert len(table) == 20
+    assert [a for a, b in zip(calls, calls[1:]) if a == b] == []
 
 
 def _assert_sign_certified(q, alpha, z):
