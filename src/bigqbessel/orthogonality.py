@@ -20,12 +20,21 @@ boundary-free display is restated in tests/oracles.py, where the tests show
 that it fails.
 
 Every lattice sum here is one weighted Jackson sum,
-(1-q) a sum_m w(a q^m) F(a q^m) G(a q^m) q^m, taken by a _Lattice that one
-public call builds and drops.
+(1-q) a sum_m w(a q^m) F(a q^m) G(a q^m) q^m, taken by a _Lattice.  The
+lattices live in a memo keyed by (q, alpha, a, tol) and mpmath's working
+precision and rounding, compared by value (_lattice; an LRU cache of the
+_LATTICE_SLOTS keys used last), so that calls on one zero table share the
+powers q^m, the weights and the columns J_{alpha+1}(q^m, j_k) of the zero
+family (_Lattice.basis; the _BASIS_SLOTS zeros used last per lattice).
+Each value is the same mpmath operation on the same operands at the same
+precision as when a call computed it itself, so every result is
+bit-identical to a fresh computation's.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Dict, List
 
@@ -117,11 +126,13 @@ def weight(ctx: QContext, alpha, x, tol: float = DEFAULT_TOL):
 
 
 class _Lattice:
-    """The Jackson lattice a q^m of [0, a] for one (ctx, alpha, a, tol).
+    """The Jackson lattice a q^m of [0, a] for one (ctx, alpha, a, tol) at
+    one working precision, kept across calls in the memo of _lattice.
 
-    Built inside one public call, at that call's working precision, and
-    dropped with it.  The powers q^m, the weights w(a q^m) and the columns
-    J_{alpha+1}(a q^m, z) are each computed once, when first needed.
+    The powers q^m and the weights w(a q^m) are each computed once, when
+    first needed.  column(z) gives a column for one call; basis(zero) gives
+    the zero family's column at z = zero^2 from the _BASIS_SLOTS zeros
+    used last, so calls on one zero table share it.
     """
 
     def __init__(self, ctx: QContext, alpha, a, tol: float) -> None:
@@ -133,6 +144,7 @@ class _Lattice:
         self.order = _mpf(alpha) + 1
         self._qpow: List[mp.mpf] = []
         self._weights: Dict[int, mp.mpf] = {}
+        self._basis: "OrderedDict[mp.mpf, _Column]" = OrderedDict()
 
     def qpow(self, m: int) -> mp.mpf:
         while len(self._qpow) <= m:
@@ -149,6 +161,18 @@ class _Lattice:
 
     def column(self, z) -> "_Column":
         return _Column(self, z)
+
+    def basis(self, zero) -> "_Column":
+        """m -> J_{alpha+1}(a q^m, zero^2), the column kept for zero (by
+        value) while it is among the _BASIS_SLOTS zeros used last."""
+        zero = _mpf(zero)
+        col = self._basis.pop(zero, None)
+        if col is None:
+            col = self.column(zero * zero)
+        self._basis[zero] = col
+        if len(self._basis) > _BASIS_SLOTS:
+            self._basis.popitem(last=False)
+        return col
 
     def integral(self, f, g) -> SeriesValue:
         """(1-q) a sum_m ((w(a q^m) f[m]) g[m]) q^m.
@@ -180,20 +204,64 @@ class _Lattice:
 
 
 class _Column:
-    """m -> J_{alpha+1}(a q^m, z) on a lattice, each value evaluated once."""
+    """m -> J_{alpha+1}(a q^m, z) on a lattice, each value evaluated once,
+    at the lattice's working precision.  The values are kept as mpmath's
+    raw (sign, mantissa, exponent, bitcount) tuples, a third smaller than
+    mpf objects, since the memo keeps thousands of them."""
 
     def __init__(self, lattice: _Lattice, z) -> None:
         self._lattice = lattice
         self._z = z
-        self._values: Dict[int, mp.mpf] = {}
+        self._values: List = []
 
     def __getitem__(self, m: int) -> mp.mpf:
-        if m not in self._values:
+        values = self._values
+        if len(values) <= m:
+            values.extend([None] * (m + 1 - len(values)))
+        if values[m] is None:
             lat = self._lattice
-            self._values[m] = eval_J(
+            values[m] = eval_J(
                 lat.ctx, lat.order, lat.point(m), self._z, lat.tol
-            ).value
-        return self._values[m]
+            ).value._mpf_
+        return mp.make_mpf(values[m])
+
+
+# The memo of lattices (_lattice) holds the _LATTICE_SLOTS keys used last,
+# and each lattice the zero family's columns of the _BASIS_SLOTS zeros used
+# last (both LRU).  L1 calls per round of the benchmark's lattice workload
+# (seed 1, rounds 1-4; requests on 4-20 zeros of two 20-zero tables, one
+# memo key each) and the memo's size after round 5 (tracemalloc, before and
+# after clearing it), by slot counts:
+#
+#     lattices  columns    L1 calls per round        memo
+#         4         0      2510  1981  2307  2077    0.09 MB
+#         4         8      2382  1564  2015  1920    0.16 MB
+#         4        16      2085   664  1116  1014    0.33 MB
+#         4        20      1889   514   425   412    0.36 MB
+#         4        24      1889   514   425   412    0.36 MB
+#         1        24      2098  1881  1954  1596       —
+#         2        24      1889   514   425   412    0.36 MB
+#
+# The columns are sized for tables of up to 24 zeros: a request that sweeps
+# more zeros in order than there are slots evicts each column before it is
+# read again, and so computes every column as it would without the memo.
+# A column holds the entries the calls read: 64 for a Gram entry (the head
+# of the Jackson sum), and more where q is near 1 or tol is small.  Four
+# lattices let two tables share the memo at two tols.
+_LATTICE_SLOTS = 4
+_BASIS_SLOTS = 24
+
+
+@functools.lru_cache(maxsize=_LATTICE_SLOTS)
+def _memo(ctx: QContext, alpha, a, tol: float, prec: int, rounding: str):
+    return _Lattice(ctx, alpha, a, tol)
+
+
+def _lattice(ctx: QContext, alpha, a, tol: float) -> _Lattice:
+    """The memo entry of (ctx.q, alpha, a, tol) at mpmath's current
+    precision and rounding, the working ones of the caller; every key is
+    compared by value, so alpha = 0, 0.0 and mpf(0) share one entry."""
+    return _memo(ctx, alpha, a, tol, *mp.mp._prec_rounding)
 
 
 def inner_product(
@@ -208,7 +276,7 @@ def inner_product(
     if f.a != g.a:
         raise ScaleMismatch(f"lattice scales differ: {f.a} vs {g.a}")
     with mp.workdps(_workdigits(tol)):
-        return _Lattice(ctx, alpha, f.a, tol).integral(f.values, g.values)
+        return _lattice(ctx, alpha, f.a, tol).integral(f.values, g.values)
 
 
 def lommel_integral_direct(
@@ -221,7 +289,7 @@ def lommel_integral_direct(
     with mp.workdps(_workdigits(tol)):
         if lam * lam == mu * mu:
             return SeriesValue(mp.mpf(0), mp.mpf(0), 1)
-        lat = _Lattice(ctx, alpha, a, tol)
+        lat = _lattice(ctx, alpha, a, tol)
         sv = lat.integral(lat.column(lam * lam), lat.column(mu * mu))
         fac = lam * lam - mu * mu
         return SeriesValue(fac * sv.value, abs(fac) * sv.abs_error, sv.terms_used)
@@ -346,8 +414,8 @@ def gram_matrix(
     _check_table(ctx, alpha, table)
     n = len(table)
     with mp.workdps(_workdigits(tol)):
-        lat = _Lattice(ctx, alpha, 1.0, tol)
-        cols = [lat.column(_mpf(j) * _mpf(j)) for j in table.zeros]
+        lat = _lattice(ctx, alpha, 1.0, tol)
+        cols = [lat.basis(j) for j in table.zeros]
         mat = [[mp.mpf(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -382,11 +450,10 @@ def fourier_coefficients(
     _check_scale(f)
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
-        lat = _Lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, alpha, 1.0, tol)
         coeffs = []
         for k in range(len(table)):
-            z = _mpf(table.zeros[k]) ** 2
-            ip = lat.integral(f.values, lat.column(z)).value
+            ip = lat.integral(f.values, lat.basis(table.zeros[k])).value
             mu = norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
             coeffs.append(ip / mu)
         return coeffs

@@ -30,7 +30,7 @@ import mpmath as mp
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
 from .errors import AtPole, IndexOutOfRange, InvalidArgument, InvalidOrder
-from .orthogonality import QLatticeSignal, _check_scale, _check_table, _Lattice
+from .orthogonality import QLatticeSignal, _check_scale, _check_table, _lattice
 from .qcalc import QContext, SeriesValue, _mpf, _workdigits
 from .zerofinder import ZeroTable
 
@@ -95,7 +95,7 @@ def q_hankel_transform(
     _check_scale(f)
     lam = _mpf(lam)
     with mp.workdps(_workdigits(tol)):
-        lat = _Lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, alpha, 1.0, tol)
         return lat.integral(f.values, lat.column(lam * lam))
 
 
@@ -150,11 +150,8 @@ def reconstruct(
     _check_scale(f)
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
-        lat = _Lattice(ctx, alpha, 1.0, tol)
-        samples = [
-            lat.integral(f.values, lat.column(_mpf(j) * _mpf(j))).value
-            for j in table.zeros
-        ]
+        lat = _lattice(ctx, alpha, 1.0, tol)
+        samples = [lat.integral(f.values, lat.basis(j)).value for j in table.zeros]
         lams = [_mpf(v) for v in lambdas]
         zs = [lam * lam for lam in lams]
         direct = [lat.integral(f.values, lat.column(z)).value for z in zs]
@@ -203,12 +200,10 @@ def closed_sum_check(
         if denom == 0:
             raise AtPole("J_alpha(1, lambda) vanishes at this lambda")
         lhs = eval_J(ctx, am + 1, 1, z, tol).value / (2 * denom)
+        lat = _lattice(ctx, alpha, 1.0, tol)
         s = mp.mpf(0)
         for k in range(len(table)):
             jk = _mpf(table.zeros[k])
-            s += (
-                jk
-                * eval_J(ctx, am + 1, 1, jk * jk, tol).value
-                / ((z - jk * jk) * _mpf(table.derivs[k]))
-            )
+            # J_{alpha+1}(1, j_k) is entry m = 0 of the zero's column
+            s += jk * lat.basis(jk)[0] / ((z - jk * jk) * _mpf(table.derivs[k]))
         return ClosedSumResult(+lhs, +s, abs(lhs - s))
