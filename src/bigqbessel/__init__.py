@@ -4,18 +4,14 @@ Kramer-type sampling reconstruction on the geometric lattice."""
 from .qcalc import (
     QContext,
     SeriesValue,
-    basic_hypergeometric,
     fused_product_ratio,
     q_derivative,
     q_derivative_inv,
     q_integral,
-    qpoch,
-    qpoch_inf,
 )
 from .bqbessel import (
     IDENTITY_KINDS,
     apply_L,
-    classical_j,
     eval_J,
     eval_big_cos,
     eval_big_sin,
@@ -52,9 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QContext",
     "SeriesValue",
-    "qpoch",
-    "qpoch_inf",
-    "basic_hypergeometric",
     "q_derivative",
     "q_derivative_inv",
     "q_integral",
@@ -63,7 +56,6 @@ __all__ = [
     "eval_dJ_dz",
     "eval_big_cos",
     "eval_big_sin",
-    "classical_j",
     "recurrence_alpha_step",
     "recurrence_shifted",
     "apply_L",

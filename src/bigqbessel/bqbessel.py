@@ -51,7 +51,6 @@ __all__ = [
     "eval_dJ_dz",
     "eval_big_cos",
     "eval_big_sin",
-    "classical_j",
     "recurrence_alpha_step",
     "recurrence_shifted",
     "apply_L",
@@ -141,6 +140,18 @@ def _j_ratio(alpha, x, z, q):
     order and precision of the one expression t A (x^2 + p_k) z / (D1 D2),
     t = -p_k (times lead), so every value is bit-identical to that
     expression's (tests/oracles.py keeps it as the reference).
+
+    Tail bound.  |r(k+1)| <= q^2 |r(k)| for every real x, every z != 0
+    and every alpha > -1, so the terms after t_n sum to at most
+    |t_(n+1)| / (1 - |r(n)|) once |r(n)| < 1, the tail that sum_series
+    reports.  With w = q^(2k) and a = q^(2alpha+2),
+
+        r(k+1)/r(k) = q^2 (x^2 + q^2 w)/(x^2 + w)
+                      (1 - q^2 w)(1 - a w) / ((1 - q^4 w)(1 - a q^2 w)),
+
+    and as 0 < q^2 w <= q^2 < 1 and 0 < a w < 1 (alpha > -1 makes a < 1)
+    each factor after q^2 lies in (0, 1].  The lead (k+1)/k that
+    eval_dJ_dz puts on r(k), k >= 1, falls with k, so it keeps the bound.
     """
     _require_finite(alpha=alpha, x=x, z=z)
     qf = float(q)
@@ -210,12 +221,9 @@ def _j_sign(alpha, z, q) -> int:
     #   sum_{k<n} ((2k + 6) K + 1) u = ((n^2 + 5n) K + n) u
     #                                <= (n + 3)^2 K u = beta.
     # Summing t_0..t_n adds at most n u A, A = sum |t_k|.
-    # Tail.  At x = 1, z > 0 and alpha > -1, with w = q^(2k),
-    #   |r(k)| = a z w (1 + w) / ((1 - q2 w)(1 - a w)):
-    # the numerator grows with w, and as q2, a < 1 the denominator falls
-    # with w; w falls with k, so |r(k)| falls with k.  Once |r(n)| <= 1/2
-    # the terms after t_n sum to at most |t_{n+1}| / (1 - |r(n)|)
-    # <= 2 |t_{n+1}|.  So, to first order,
+    # Tail.  By the tail bound of _j_ratio, once |r(n)| <= 1/2 the terms
+    # after t_n sum to at most |t_{n+1}| / (1 - |r(n)|) <= 2 |t_{n+1}|.
+    # So, to first order,
     #   |J - S| <= (beta + n u) A + 2 |t_{n+1}|.
     # While beta <= 1/8 the second-order terms, the gap between the
     # computed and the exact A, r(n) and t_{n+1}, and the rounding of E
@@ -313,16 +321,6 @@ def eval_big_sin(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
         # 2^-prec relative; 10^(1-dps) covers the three
         err = sv.abs_error * pref + abs(value) * mp.mpf(10) ** (1 - mp.mp.dps)
         return SeriesValue(+value, +err, sv.terms_used)
-
-
-def classical_j(alpha, t):
-    """Normalized classical Bessel function j_alpha(t) = 0F1(alpha+1; -t^2/4),
-    the q -> 1 limit target of the rescaled big q-Bessel function, at the
-    caller's precision."""
-    if alpha <= -1:
-        raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
-    t = _mpf(t)
-    return mp.hyp0f1(_mpf(alpha) + 1, -t * t / 4)
 
 
 def _recurrence_args(ctx: QContext, alpha, x, z):

@@ -379,6 +379,8 @@ def main(argv: List[str] | None = None) -> int:
         parser.error(f"--alpha must exceed {floor} for {ns.command}; got {ns.alpha}")
     if getattr(ns, "count", None) is not None and ns.count < 1:
         parser.error("--count must be >= 1")
+    if getattr(ns, "terms_max", 1) < 1:
+        parser.error(f"--terms-max must be >= 1; got {ns.terms_max}")
     try:
         doc = cmd.run(QContext(ns.q), vars(ns))
         if ns.format == "csv":

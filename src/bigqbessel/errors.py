@@ -12,11 +12,6 @@ class BigQBesselError(Exception):
 
 # --- qcalc ---------------------------------------------------------------
 
-class PoleInDenominator(BigQBesselError):
-    """A denominator parameter annihilates a series term before the
-    numerator truncates the series."""
-
-
 class InvalidArgument(BigQBesselError, ValueError):
     """An argument is not finite, or a tolerance is not positive."""
 

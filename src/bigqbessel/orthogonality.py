@@ -53,6 +53,7 @@ from .qcalc import (
     QContext,
     SeriesValue,
     _mpf,
+    _require_finite,
     _workdigits,
     fused_product_ratio,
     jackson_sum,
@@ -84,6 +85,9 @@ class QLatticeSignal:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise InvalidArgument("signal needs at least one lattice value")
+        _require_finite(a=self.a)
+        for v in self.values:
+            _require_finite(values=v)
         if self.a <= 0:
             raise InvalidArgument("lattice scale a must be positive")
 
@@ -305,6 +309,13 @@ def _bracket(ctx, alpha, u, v, z_lam, z_mu, tol):
     ).value
 
 
+def _closed_factors(q, am, a2, tol):
+    """C and W(a) of the module docstring at alpha = am and a^2 = a2, at
+    the caller's precision."""
+    C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
+    return C, fused_product_ratio(a2, 0, 2 * am + 2, q, tol)
+
+
 def lommel_rhs_closed(
     ctx: QContext,
     alpha,
@@ -327,8 +338,7 @@ def lommel_rhs_closed(
     with mp.workdps(_workdigits(tol)):
         z_lam = lam * lam
         z_mu = mu * mu
-        C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
-        W = fused_product_ratio(a * a, 0, 2 * am + 2, q, tol)
+        C, W = _closed_factors(q, am, a * a, tol)
         bq = _bracket(ctx, am, a / q, a, z_lam, z_mu, tol)
         b0 = _bracket(ctx, am, 0, 0, z_lam, z_mu, tol)
         val = C * (W * bq - b0)
@@ -386,8 +396,7 @@ def norm_sq_closed(
                 f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
                 f"{NOT_A_ZERO_TOL}"
             )
-        C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
-        W = fused_product_ratio(1, 0, 2 * am + 2, q, tol)
+        C, W = _closed_factors(q, am, 1, tol)
         jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
         jp0 = eval_J(ctx, am + 1, 0, z, tol).value
         jm0 = eval_J(ctx, am, 0, z, tol).value

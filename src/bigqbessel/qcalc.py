@@ -1,12 +1,12 @@
 """q-calculus primitives.
 
-q-shifted factorials, infinite q-products, basic hypergeometric series,
-q-derivatives, and the Jackson q-integral.  All series operations follow a
-single truncation rule: stop at index k once |term_k| <= tol*max(1, |S|)
-and the next term ratio is certified below some r < 1; the reported tail
-bound is |term_{k+1}|/(1-r).
+Infinite q-product ratios, q-derivatives, the Jackson q-integral, and
+sum_series, which sums the J series: it stops at index k once
+|term_k| <= tol*max(1, |S|) and the next term ratio has |r(k)| < 1, and
+reports the tail bound |term_{k+1}|/(1-|r(k)|), proved beside
+bqbessel._j_ratio.
 
-qpoch, fused_product_ratio, the q-derivatives, q_integral and jackson_sum
+fused_product_ratio, the q-derivatives, q_integral and jackson_sum
 compute at the caller's precision, and their tol sets only the truncation;
 L1-L3 call them inside the working precision of their own call.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath as mp
 
@@ -24,16 +24,12 @@ from .errors import (
     DivergentSeries,
     InvalidArgument,
     NonPositiveUpperLimit,
-    PoleInDenominator,
     ZeroArgument,
 )
 
 __all__ = [
     "QContext",
     "SeriesValue",
-    "qpoch",
-    "qpoch_inf",
-    "basic_hypergeometric",
     "q_derivative",
     "q_derivative_inv",
     "q_integral",
@@ -97,50 +93,6 @@ def _workdigits(tol: float) -> int:
     return max(30, int(-math.log10(tol)) + 15)
 
 
-def qpoch(a, q, n: int):
-    """Finite q-shifted factorial prod_{i<n} (1 - a*q^i); 1 for n = 0, at
-    the caller's precision."""
-    if n < 0 or n != int(n):
-        raise InvalidArgument(f"n must be a nonnegative integer; got {n}")
-    a = _mpf(a)
-    q = _mpf(q)
-    p = mp.mpf(1)
-    for i in range(int(n)):
-        p *= 1 - a * q**i
-    return p
-
-
-def qpoch_inf(a, q, tol: float = DEFAULT_TOL) -> SeriesValue:
-    """Infinite q-product (a; q)_inf, truncated so the dropped log-tail
-    sum_{i>=N} |a| q^i / (1 - |a| q^i) implies relative error < tol."""
-    if not 0 < q < 1:
-        raise InvalidArgument(f"q must lie strictly in (0, 1); got {q}")
-    if not tol > 0:
-        raise InvalidArgument(f"tol must be positive; got {tol}")
-    _require_finite(a=a)
-    if a == 0:
-        return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
-    with mp.workdps(max(MIN_DPS, int(-math.log10(tol)) + 10)):
-        a = _mpf(a)
-        q = _mpf(q)
-        p = mp.mpf(1)
-        i = 0
-        while True:
-            t = abs(a) * q**i
-            if t < mp.mpf("0.5"):
-                # Tail of the log-series: sum_{j>=i} t*q^(j-i)/(1-t) and
-                # the relative error bound exp(tail)-1 ~ tail.
-                tail = t / ((1 - q) * (1 - t))
-                if tail < tol:
-                    break
-            p *= 1 - a * q**i
-            i += 1
-            if i > 10 * TERMS_MAX:
-                raise DivergentSeries("qpoch_inf failed to certify its tail")
-        abs_err = abs(p) * tail
-        return SeriesValue(+p, +abs_err, max(i, 1))
-
-
 def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     """Ratio of infinite products prod_j (1 + x2*q^(e_num+2j)) /
     (1 + x2*q^(e_den+2j)), truncated jointly.
@@ -183,15 +135,18 @@ def sum_series(
     tol: float,
     terms_max: int = TERMS_MAX,
 ) -> SeriesValue:
-    """Adaptive-precision summation engine used by all series here.
+    """Adaptive-precision summation engine of the J series and dJ/dz.
 
     A cheap float pass over log10 term magnitudes estimates the peak term,
     which fixes the working precision (the series alternate in sign, and
     the peak can exceed the sum by hundreds of digits).  The exact pass
-    then applies the geometric-ratio truncation rule.
+    then applies the truncation rule and the tail bound of the module
+    docstring.  A terms_max below 1 raises InvalidArgument.
     """
     if not tol > 0:
         raise InvalidArgument(f"tol must be positive; got {tol}")
+    if terms_max < 1:
+        raise InvalidArgument(f"terms_max must be at least 1; got {terms_max}")
     digs = max(1.0, -math.log10(tol))
     lt = log_term0
     peak = max(0.0, lt)
@@ -230,55 +185,6 @@ def sum_series(
         # summation noise sits near 10^(peak - dps).
         err = tail + mp.mpf(10) ** (int(peak) + 5 - dps)
         return SeriesValue(+s, +err, n)
-
-
-def basic_hypergeometric(
-    nums: Sequence,
-    dens: Sequence,
-    q,
-    z,
-    tol: float = DEFAULT_TOL,
-) -> SeriesValue:
-    """Basic hypergeometric series r_phi_s(nums; dens; q, z) including the
-    ((-1)^k q^C(k,2))^(1+s-r) convergence factor."""
-    if not 0 < q < 1:
-        raise InvalidArgument(f"q must lie strictly in (0, 1); got {q}")
-    r = len(nums)
-    s = len(dens)
-    excess = 1 + s - r
-    if excess < 0 and z != 0:
-        raise DivergentSeries(
-            f"r={r} > s+1={s + 1}: the q^((1+s-r)*C(k,2)) factor diverges"
-        )
-    qm = _mpf(q)
-    zm = _mpf(z)
-    numsm = [_mpf(a) for a in nums]
-    densm = [_mpf(b) for b in dens]
-    if zm == 0:
-        return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
-
-    def ratio_m(k: int) -> mp.mpf:
-        # t_{k+1}/t_k for the series of (2.3)-type terms.
-        top = mp.mpf(1)
-        for a in numsm:
-            top *= 1 - a * qm**k
-        bot = 1 - qm ** (k + 1)
-        for b in densm:
-            f = 1 - b * qm**k
-            if f == 0:
-                if top == 0:
-                    return mp.mpf(0)  # numerator already truncated
-                raise PoleInDenominator(
-                    f"denominator parameter {b} zeroes term k={k}"
-                )
-            bot *= f
-        return top / bot * zm * ((-1) * qm**k) ** excess
-
-    def ratio_log(k: int) -> float:
-        rr = float(abs(ratio_m(k)))
-        return math.log10(rr) if rr > 0 else -1e9
-
-    return sum_series(0.0, ratio_log, lambda: mp.mpf(1), ratio_m, tol)
 
 
 def q_derivative(f: Callable, x, q):

@@ -46,7 +46,7 @@ from .errors import (
     InvalidOrder,
     NoSignChange,
 )
-from .qcalc import QContext
+from .qcalc import QContext, _require_finite
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
 
@@ -68,6 +68,9 @@ class ZeroTable:
             raise InvalidArgument(
                 "zeros, derivs, residuals must have equal length"
             )
+        for name in ("zeros", "derivs", "residuals"):
+            for v in getattr(self, name):
+                _require_finite(**{name: v})
         for a, b in zip(self.zeros, self.zeros[1:]):
             if not a < b:
                 raise InvalidArgument("zeros must be strictly increasing")

@@ -41,9 +41,6 @@ from bigqbessel.qcalc import SeriesValue, _mpf, _workdigits, sum_series
 # J_0(x=1, lambda^2=0.01; q^2=0.25)
 J_Q05_A0_X1_Z001 = mp.mpf("0.9911190109920320792818971")
 
-# (0.5; 0.5)_infinity
-QPOCH_INF_HALF = mp.mpf("0.2887880950866024212788997")
-
 # first five positive lambda-zeros of J_0(1, lambda; q^2) at q = 0.5
 ZEROS_Q05_A0 = [
     mp.mpf("1.124253358794089558641119"),

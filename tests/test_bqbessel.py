@@ -8,8 +8,6 @@ import pytest
 
 from bigqbessel import (
     QContext,
-    basic_hypergeometric,
-    classical_j,
     eval_J,
     eval_big_cos,
     eval_big_sin,
@@ -127,9 +125,8 @@ def test_eval_J_is_the_1phi1(q, alpha, x, z):
     with mp.workdps(60):
         qm, am, xm = mp.mpf(q), mp.mpf(alpha), mp.mpf(x)
         b = qm ** (2 * am + 2)
-        args = ([-1 / (xm * xm)], [b], qm * qm, mp.mpf(z) * xm * xm * b)
-    hv = basic_hypergeometric(*args, tol=1e-30)
-    assert abs(sv.value - hv.value) <= sv.abs_error + hv.abs_error
+        want = mp.qhyper([-1 / (xm * xm)], [b], qm * qm, mp.mpf(z) * xm * xm * b)
+        assert abs(sv.value - want) <= sv.abs_error
 
 
 @pytest.mark.parametrize(
@@ -145,21 +142,12 @@ def test_eval_J_large_x_precision_pass_does_not_overflow(x, z):
         assert abs(sv.value - want) <= sv.abs_error
 
 
-def test_classical_j_is_normalized_bessel():
-    # j_alpha(t) = Gamma(alpha+1) (t/2)^(-alpha) J_alpha(t)
-    for alpha in (0.0, 0.5, 1.3):
-        for t in (0.3, 1.0, 2.5):
-            got = classical_j(alpha, t)
-            a = mp.mpf(alpha)
-            tm = mp.mpf(t)
-            want = mp.gamma(a + 1) * (tm / 2) ** (-a) * mp.besselj(a, tm)
-            assert abs(got - want) <= 1e-13 * max(1, abs(want))
-
-
 def test_classical_limit_converges():
-    # rescaled evaluation at q^2 = 1 - 2^(-k) approaches j_0(2*lam*x)
+    # rescaled evaluation at q^2 = 1 - 2^(-k) approaches the normalized
+    # Bessel function j_0(t) = 0F1(1; -t^2/4) at t = 2*lam*x
     lam, x = mp.mpf("0.3"), mp.mpf("0.5")
-    target = classical_j(0, 2 * lam * x)
+    t = 2 * lam * x
+    target = mp.hyp0f1(mp.mpf(1), -t * t / 4)
     errs = []
     for k in (3, 5, 8):
         q2 = 1 - mp.mpf(2) ** -k

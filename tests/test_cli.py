@@ -282,6 +282,14 @@ def test_eval_prints_value_beyond_int_str_limit(capsys):
         assert abs(got / want - 1) < 1e-16
 
 
+def test_usage_error_terms_max_below_one(capsys):
+    for n in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--q", "0.5", "--x", "1", "--z", "0.1",
+                  "--terms-max", n])
+        assert exc.value.code == 2
+
+
 def test_usage_error_verify_has_no_csv(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "0.5", "--suite", "identities", "--format", "csv"])
@@ -315,6 +323,32 @@ PINNED_ZEROS = (
     '8.3544845101800068e-22,5.0799034944839555e-36]}\n'
 )
 PINNED_SIGNAL = '{"a": 1.0, "values": [1.0, -0.5, 0.25, 0.125]}\n'
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("sample", "zeros.json", PINNED_ZEROS.replace("-1.5640578391868993", "NaN")),
+        ("fourier", "signal.json", '{"a": 1.0, "values": [1.0, NaN, 0.25]}'),
+        ("gram", "zeros.json", PINNED_ZEROS.replace("3.8197063822359539", "Infinity")),
+    ],
+    ids=["sample-nan-deriv", "fourier-nan-value", "gram-inf-deriv"],
+)
+def test_numeric_failure_non_finite_input_file(capsys, tmp_path, command, name, text):
+    # Python's json reads NaN and Infinity; the documents refuse them
+    files = {"zeros.json": PINNED_ZEROS, "signal.json": PINNED_SIGNAL, name: text}
+    for fname, ftext in files.items():
+        (tmp_path / fname).write_text(ftext)
+    argv = [command, "--q", "0.5", "--zeros", str(tmp_path / "zeros.json")]
+    if command != "gram":
+        argv += ["--signal", str(tmp_path / "signal.json")]
+    if command == "sample":
+        argv += ["--lambdas", "[0.3, 0.7]"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "must be finite" in err
+
 
 # sha256 of stdout, with the exit code, of documents the CLI wrote before
 # its commands were one table; `zeros.json` and `signal.json` stand for

@@ -1,6 +1,7 @@
 """Property-based checks (hypothesis) of the structural invariants:
-Pochhammer splitting, q-integral linearity, q-integration by parts,
-classical-limit rate of the q-derivative, and series positivity.
+q-integral linearity, q-integration by parts, classical-limit rate of the
+q-derivative, series positivity, and the non-increasing term ratio of the
+J series on which its tail bound rests.
 """
 
 import mpmath as mp
@@ -13,24 +14,10 @@ from bigqbessel import (
     q_derivative,
     q_derivative_inv,
     q_integral,
-    qpoch,
 )
+from bigqbessel.bqbessel import _j_ratio
 
 COMMON = dict(deadline=None, max_examples=25)
-
-
-@settings(**COMMON)
-@given(
-    a=st.floats(min_value=-2, max_value=2),
-    q=st.floats(min_value=0.1, max_value=0.9),
-    n=st.integers(min_value=0, max_value=8),
-    m=st.integers(min_value=0, max_value=8),
-)
-def test_qpoch_splitting(a, q, n, m):
-    # (a; q)_{n+m} = (a; q)_n (a q^n; q)_m
-    lhs = qpoch(a, q, n + m)
-    rhs = qpoch(a, q, n) * qpoch(mp.mpf(a) * mp.mpf(q) ** n, q, m)
-    assert abs(lhs - rhs) <= 1e-12 * max(1, abs(rhs))
 
 
 @settings(**COMMON)
@@ -120,3 +107,32 @@ def test_eval_J_error_bound_is_honest(q, x, z):
     assert abs(coarse.value - fine.value) <= coarse.abs_error + mp.mpf(
         "1e-18"
     )
+
+
+def _signed_power(lo, hi):
+    """+-10^e for e uniform in [lo, hi]."""
+    return st.builds(
+        lambda s, e: s * 10.0**e,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=lo, max_value=hi),
+    )
+
+
+@settings(**COMMON)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.999, exclude_min=True),
+    alpha=st.floats(min_value=-1, max_value=3, exclude_min=True),
+    x=st.one_of(st.just(0.0), _signed_power(-5, 5)),
+    z=_signed_power(-6, 6),
+    dps=st.sampled_from([30, 60, 200]),
+)
+def test_j_ratio_does_not_increase(q, alpha, x, z, dps):
+    # the premise of the tail |t_(n+1)|/(1 - |r(n)|) that sum_series
+    # reports: |r(k+1)| <= |r(k)|, alone and with the lead (k+1)/k of
+    # eval_dJ_dz
+    _, ratio = _j_ratio(alpha, x, z, q)
+    with mp.workdps(dps):
+        plain = [abs(ratio(k)) for k in range(61)]
+        led = [abs(ratio(k, mp.mpf(k + 1) / k)) for k in range(1, 61)]
+    for r in (plain, led):
+        assert all(b <= a for a, b in zip(r, r[1:]))

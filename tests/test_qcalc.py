@@ -1,6 +1,7 @@
-"""q-calculus primitives: Pochhammer symbols, q-derivatives, the Jackson
-q-integral, and the generic basic hypergeometric evaluator, checked
-against hand values, mpmath's q-Pochhammer, and classical closed forms.
+"""q-calculus primitives: the fused q-product ratio, q-derivatives and
+the Jackson q-integral, checked against hand values, mpmath's
+q-Pochhammer and classical closed forms; and the typed errors of bad
+arguments across the library.
 """
 
 import math
@@ -14,27 +15,21 @@ from bigqbessel import (
     ReconstructionReport,
     SeriesValue,
     ZeroTable,
-    basic_hypergeometric,
+    eval_J,
     fourier_coefficients,
     fused_product_ratio,
     identity_residual,
     q_derivative,
     q_derivative_inv,
     q_integral,
-    qpoch,
-    qpoch_inf,
     reconstruct,
     weight,
 )
 from bigqbessel.errors import (
-    DivergentSeries,
     InvalidArgument,
     NonPositiveUpperLimit,
-    PoleInDenominator,
     ZeroArgument,
 )
-
-import oracles
 
 
 def test_qcontext_validates_q():
@@ -42,39 +37,6 @@ def test_qcontext_validates_q():
         QContext(1.0)
     with pytest.raises(ValueError):
         QContext(0.0)
-
-
-def test_qpoch_hand_value():
-    # (0.5; 0.5)_3 = (1 - 0.5)(1 - 0.25)(1 - 0.125)
-    got = qpoch(0.5, 0.5, 3)
-    assert abs(got - mp.mpf("0.328125")) < 1e-15
-
-
-def test_qpoch_against_mpmath():
-    for a in (-1.5, -0.3, 0.2, 0.9):
-        for n in (0, 1, 4, 9):
-            got = qpoch(a, 0.6, n)
-            want = mp.qp(mp.mpf(a), mp.mpf("0.6"), n)
-            assert abs(got - want) <= 1e-14 * max(1, abs(want))
-
-
-def test_qpoch_inf_frozen_value():
-    sv = qpoch_inf(0.5, 0.5, tol=1e-14)
-    assert isinstance(sv, SeriesValue)
-    assert abs(sv.value - oracles.QPOCH_INF_HALF) <= 1e-14
-    # reported error bound is honest (reference at 40 digits; the frozen
-    # constant above is parsed at ambient precision and is too coarse
-    # for this sub-ulp comparison)
-    with mp.workdps(40):
-        true = mp.qp(mp.mpf("0.5"), mp.mpf("0.5"))
-        assert abs(sv.value - true) <= sv.abs_error * (1 + mp.mpf("1e-6"))
-
-
-def test_qpoch_inf_against_mpmath():
-    for a in (-2.0, -0.7, 0.1, 0.95):
-        got = qpoch_inf(a, 0.8, tol=1e-13).value
-        want = mp.qp(mp.mpf(a), mp.mpf("0.8"))
-        assert abs(got - want) <= 1e-12 * max(1, abs(want))
 
 
 def test_fused_product_ratio_matches_quotient():
@@ -138,34 +100,6 @@ def test_q_integral_rejects_bad_limit():
         q_integral(lambda x: x, -1, 0.5)
 
 
-def test_basic_hypergeometric_q_binomial_theorem():
-    # 1phi0(a; -; q, z) = (a z; q)_inf / (z; q)_inf for |z| < 1
-    q = mp.mpf("0.5")
-    a = mp.mpf("0.3")
-    z = mp.mpf("0.4")
-    got = basic_hypergeometric([a], [], q, z, tol=1e-14).value
-    want = mp.qp(a * z, q) / mp.qp(z, q)
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_basic_hypergeometric_0phi1_decays():
-    sv = basic_hypergeometric([], [0.25], 0.25, 0.1, tol=1e-14)
-    assert sv.terms_used < 60
-    assert sv.abs_error < 1e-12
-
-
-def test_basic_hypergeometric_pole():
-    # denominator parameter q^{-2} makes (b; q)_k vanish at k = 3
-    with pytest.raises(PoleInDenominator):
-        basic_hypergeometric([0.5], [0.5 ** -2], 0.5, 0.1)
-
-
-def test_basic_hypergeometric_divergent():
-    # r > s + 1 gives a growing q^(-C(k,2)) factor
-    with pytest.raises(DivergentSeries):
-        basic_hypergeometric([0.5, 0.3], [], 0.5, 0.2)
-
-
 def test_series_value_float_conversion():
     sv = q_integral(lambda x: x, 1, 0.5, tol=1e-14)
     assert math.isclose(float(sv), 2.0 / 3.0, rel_tol=1e-12)
@@ -176,9 +110,6 @@ NO_ZEROS = ZeroTable(0.5, 0.0)
 SIGNAL = QLatticeSignal([1.0, 0.5])
 
 INVALID_AT_THE_EDGE = {
-    "qpoch_inf(nan, q)": lambda: qpoch_inf(NAN, 0.5),
-    "qpoch_inf(q=1.5)": lambda: qpoch_inf(0.5, 1.5),
-    "qpoch_inf(tol=nan)": lambda: qpoch_inf(0.5, 0.5, tol=NAN),
     "fused_product_ratio(nan)": lambda: fused_product_ratio(NAN, 2, 4, 0.5),
     "fused_product_ratio(tol=nan)": (
         lambda: fused_product_ratio(2.0, 2, 4, 0.5, tol=NAN)
@@ -187,8 +118,8 @@ INVALID_AT_THE_EDGE = {
     "weight(x=-1)": lambda: weight(QContext(0.5), 0.0, -1.0),
     "q_integral(tol=nan)": lambda: q_integral(lambda x: x, 1, 0.5, tol=NAN),
     "q_integral(tol=0)": lambda: q_integral(lambda x: x, 1, 0.5, tol=0.0),
-    "basic_hypergeometric(q=2)": (
-        lambda: basic_hypergeometric([0.5], [0.25], 2.0, 0.1)
+    "eval_J(terms_max=0)": (
+        lambda: eval_J(QContext(0.5), 0.0, 1.0, 0.5, terms_max=0)
     ),
     "fourier_coefficients(no zeros)": (
         lambda: fourier_coefficients(QContext(0.5), 0.0, SIGNAL, NO_ZEROS)
@@ -213,15 +144,25 @@ INVALID_AT_CONSTRUCTION = {
     "QContext(q=0)": lambda: QContext(0.0),
     "SeriesValue(abs_error<0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(-1), 1),
     "SeriesValue(terms_used=0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(0), 0),
-    "qpoch(n=-1)": lambda: qpoch(0.5, 0.5, -1),
-    "qpoch(n=1.5)": lambda: qpoch(0.5, 0.5, 1.5),
     "QLatticeSignal(empty)": lambda: QLatticeSignal([]),
     "QLatticeSignal(a=0)": lambda: QLatticeSignal([1.0], a=0.0),
+    "QLatticeSignal(a=nan)": lambda: QLatticeSignal([1.0], a=NAN),
+    "QLatticeSignal(value=nan)": lambda: QLatticeSignal([1.0, NAN]),
+    "QLatticeSignal(value=-inf)": (
+        lambda: QLatticeSignal([mp.mpf("-inf")])
+    ),
     "ZeroTable(lengths)": lambda: ZeroTable(0.5, 0.0, [1.0], [], []),
     "ZeroTable(order)": (
         lambda: ZeroTable(0.5, 0.0, [2.0, 1.0], [1, 1], [0, 0])
     ),
     "ZeroTable(sign)": lambda: ZeroTable(0.5, 0.0, [-1.0], [1.0], [0.0]),
+    "ZeroTable(zero=inf)": (
+        lambda: ZeroTable(0.5, 0.0, [1.0, math.inf], [1, 1], [0, 0])
+    ),
+    "ZeroTable(deriv=nan)": lambda: ZeroTable(0.5, 0.0, [1.0], [NAN], [0.0]),
+    "ZeroTable(residual=nan)": (
+        lambda: ZeroTable(0.5, 0.0, [1.0], [1.0], [mp.mpf("nan")])
+    ),
     "ReconstructionReport(lengths)": (
         lambda: ReconstructionReport([1.0], [], [], mp.mpf(0), 1)
     ),
