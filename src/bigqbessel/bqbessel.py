@@ -18,9 +18,12 @@ Its factors that depend on neither x nor z, q^(2alpha+2) and per term
 are shared by every call at the same q, alpha and working precision: they
 live in a memo keyed by (q, alpha, mpmath's precision and rounding), with
 q and alpha compared by value, that holds the _FACTOR_SLOTS keys used
-last (an LRU cache).  Each factor is the same mpmath operation on the
-same operands at the same precision as in the ratio written as one
-expression, so every value is bit-identical to that expression's.
+last (an LRU cache).  The memo keeps them as mpmath's raw _mpf_ tuples,
+and the ratio combines them with x and z through mpmath.libmp, the raw
+form that sum_series' exact pass sums.  Each factor, and each step of the
+ratio, is the same mpmath operation on the same operands at the same
+precision and rounding as in the ratio written as one mpf expression, so
+every value is bit-identical to that expression's.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import sys
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import fone, from_float, mpf_add, mpf_div, mpf_mul
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
 from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
@@ -89,25 +93,36 @@ _FACTOR_SLOTS = 4
 class _Factors:
     """The factors of r(k) that depend only on (q, alpha) and the working
     precision: A = q^(2alpha+2) and, per row k, T_k = (-q^(2k)) A,
-    p_k = q^(2k) and D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)).  Rows are
-    built in order, on demand, at the precision of the entry's key."""
+    p_k = q^(2k) and D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)), and the
+    lead row L_k = ((-p_k) ((k+1)/k)) A of eval_dJ_dz, k >= 1.  Rows are
+    built in order, on demand, at the precision of the entry's key, by mpf
+    expressions; T, p, D and L keep each value as its raw _mpf_ tuple.
+    Only eval_dJ_dz reads L, so only it builds lead rows."""
 
-    __slots__ = ("qm", "am", "A", "T", "p", "D")
+    __slots__ = ("qm", "am", "A", "T", "p", "D", "L")
 
     def __init__(self, q, alpha):
         self.qm = _mpf(q)
         self.am = _mpf(alpha)
         self.A = self.qm ** (2 * (self.am + 1))
         self.T, self.D = [], []
-        self.p = [self.qm ** 0]
+        self.p = [(self.qm ** 0)._mpf_]
+        self.L = [None]  # the lead (k+1)/k starts at k = 1
 
     def _row(self) -> None:
         """Append row k = len(D); q^(2k+2) is kept as p_(k+1)."""
         k = len(self.D)
-        qm, p = self.qm, self.p
-        p.append(qm ** (2 * k + 2))
-        self.T.append(-p[k] * self.A)
-        self.D.append((1 - p[k + 1]) * (1 - qm ** (2 * self.am + 2 + 2 * k)))
+        qm = self.qm
+        p1 = qm ** (2 * k + 2)
+        self.T.append((-mp.make_mpf(self.p[k]) * self.A)._mpf_)
+        self.p.append(p1._mpf_)
+        self.D.append(((1 - p1) * (1 - qm ** (2 * self.am + 2 + 2 * k)))._mpf_)
+
+    def _lead_row(self) -> None:
+        """Append lead row k = len(L), which needs row k - 1."""
+        k = len(self.L)
+        lead = mp.mpf(k + 1) / k
+        self.L.append((-mp.make_mpf(self.p[k]) * lead * self.A)._mpf_)
 
 
 @functools.lru_cache(maxsize=_FACTOR_SLOTS)
@@ -124,22 +139,25 @@ def _j_ratio(alpha, x, z, q):
         r(k) = -q^(2k) q^(2alpha+2) (x^2 + q^(2k)) z
                / ((1 - q^(2k+2)) (1 - q^(2alpha+2+2k))),
 
-    as the pair of callables sum_series takes, each of (k, lead):
-    log10|lead r(k)| in floats for the precision pass, and lead r(k) in
-    mpf for the exact pass.
+    as the pair of callables sum_series takes: log_ratio(k, lead), the
+    float log10|lead r(k)| of the precision pass, and ratio(k, led), the
+    exact r(k), or with led the r(k) times the lead (k+1)/k of eval_dJ_dz
+    (k >= 1), as a raw _mpf_ tuple at the current precision and rounding.
     log10(x^2 + q^(2k)) is a log-sum of 2 log10|x| and 2k log10 q, so the
     float pass does not overflow for large |x|.  A non-finite alpha, x or
     z raises InvalidArgument.
 
-    The mpf pass reads A, T_k = (-p_k) A, p_k = q^(2k) and
-    D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)), which depend on neither x
-    nor z, from the memo entry of (q, alpha) at the current precision and
-    rounding (_factors; at most _FACTOR_SLOTS entries), and takes x^2 once
-    per precision.  It returns ((T_k (x^2 + p_k)) z) / D_k, or with a lead
-    ((((-p_k) lead) A) (x^2 + p_k)) z / D_k: the operations, operands,
-    order and precision of the one expression t A (x^2 + p_k) z / (D1 D2),
-    t = -p_k (times lead), so every value is bit-identical to that
-    expression's (tests/oracles.py keeps it as the reference).
+    The exact ratio reads T_k = (-p_k) A, p_k = q^(2k),
+    D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)) and, with led, the lead row
+    L_k = ((-p_k) ((k+1)/k)) A, which depend on neither x nor z, from the
+    memo entry of (q, alpha) at the current precision and rounding
+    (_factors; at most _FACTOR_SLOTS entries), and takes x^2 once per
+    precision.  It returns ((T_k (x^2 + p_k)) z) / D_k, with L_k for T_k
+    under led, each step an mpmath.libmp operation at that precision and
+    rounding: the operations, operands, order and precision of the one mpf
+    expression t A (x^2 + p_k) z / (D1 D2), t = -p_k (times the lead), so
+    every value is bit-identical to that expression's (tests/oracles.py
+    keeps it as the reference).
 
     Tail bound.  |r(k+1)| <= q^2 |r(k)| for every real x, every z != 0
     and every alpha > -1, so the terms after t_n sum to at most
@@ -174,23 +192,32 @@ def _j_ratio(alpha, x, z, q):
             - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
 
-    xm = _mpf(x)
-    zm = _mpf(z)
+    xm = _mpf(x)._mpf_
+    zm = _mpf(z)._mpf_
     # the precision and rounding, the memo entry and x^2 of the last call
     prec_rounding, f, x2 = None, None, None
 
-    def ratio(k: int, lead=None) -> mp.mpf:
+    def ratio(k: int, led: bool = False) -> tuple:
         nonlocal prec_rounding, f, x2
         if prec_rounding != mp.mp._prec_rounding:
             # a list that mpmath changes in place: keep a copy
             prec_rounding = list(mp.mp._prec_rounding)
             f = _factors(q, alpha, *prec_rounding)
-            x2 = xm * xm
+            x2 = mpf_mul(xm, xm, *prec_rounding)
+        prec, rnd = prec_rounding
         while len(f.D) <= k:
             f._row()
-        p = f.p[k]
-        t = f.T[k] if lead is None else -p * lead * f.A
-        return t * (x2 + p) * zm / f.D[k]
+        if led:
+            while len(f.L) <= k:
+                f._lead_row()
+        t = f.L[k] if led else f.T[k]
+        return mpf_div(
+            mpf_mul(mpf_mul(t, mpf_add(x2, f.p[k], prec, rnd), prec, rnd),
+                    zm, prec, rnd),
+            f.D[k],
+            prec,
+            rnd,
+        )
 
     return log_ratio, ratio
 
@@ -203,7 +230,14 @@ def _j_sign(alpha, z, q) -> int:
     or outside 0 < q < 1, alpha > -1, z > 0."""
     qf, af, zf = float(q), float(alpha), float(z)
     for f, v in ((qf, q), (af, alpha), (zf, z)):
-        if not math.isfinite(f) or mp.mpf(f) != v:
+        if not math.isfinite(f):
+            return 0
+        if isinstance(v, float):
+            continue
+        if isinstance(v, mp.mpf):
+            if v._mpf_ != from_float(f):
+                return 0
+        elif mp.mpf(f) != v:
             return 0
     if not (0 < qf < 1 and af > -1 and zf > 0):
         return 0
@@ -273,7 +307,7 @@ def eval_J(
     if z == 0:
         return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
     log_ratio, ratio = _j_ratio(alpha, x, z, ctx.q)
-    return sum_series(0.0, log_ratio, lambda: mp.mpf(1), ratio, tol, terms_max)
+    return sum_series(0.0, log_ratio, lambda: fone, ratio, tol, terms_max)
 
 
 def eval_dJ_dz(
@@ -297,7 +331,7 @@ def eval_dJ_dz(
         log_c1(0),
         lambda n: log_ratio(n + 1, (n + 2) / (n + 1)),
         lambda: c1(0),
-        lambda n: ratio(n + 1, mp.mpf(n + 2) / (n + 1)),
+        lambda n: ratio(n + 1, True),
         tol,
     )
 

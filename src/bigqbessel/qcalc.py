@@ -4,7 +4,10 @@ Infinite q-product ratios, q-derivatives, the Jackson q-integral, and
 sum_series, which sums the J series: it stops at index k once
 |term_k| <= tol*max(1, |S|) and the next term ratio has |r(k)| < 1, and
 reports the tail bound |term_{k+1}|/(1-|r(k)|), proved beside
-bqbessel._j_ratio.
+bqbessel._j_ratio.  Its exact pass works on mpmath's raw _mpf_ tuples
+with the mpmath.libmp functions that mpf arithmetic calls, at the same
+precision and rounding, so every value and every stop decision is the one
+the same loop on mpf objects gives (tests/oracles.py keeps that loop).
 
 fused_product_ratio, the q-derivatives, q_integral and jackson_sum
 compute at the caller's precision, and their tol sets only the truncation;
@@ -18,6 +21,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+)
 
 from .defaults import DEFAULT_TOL, GUARD_DIGITS, MIN_DPS, TERMS_MAX
 from .errors import (
@@ -130,18 +143,31 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
 def sum_series(
     log_term0: float,
     log_ratio: Callable[[int], float],
-    mp_term0: Callable[[], mp.mpf],
-    mp_ratio: Callable[[int], mp.mpf],
+    mp_term0: Callable[[], tuple],
+    mp_ratio: Callable[[int], tuple],
     tol: float,
     terms_max: int = TERMS_MAX,
 ) -> SeriesValue:
     """Adaptive-precision summation engine of the J series and dJ/dz.
 
-    A cheap float pass over log10 term magnitudes estimates the peak term,
-    which fixes the working precision (the series alternate in sign, and
-    the peak can exceed the sum by hundreds of digits).  The exact pass
-    then applies the truncation rule and the tail bound of the module
-    docstring.  A terms_max below 1 raises InvalidArgument.
+    A cheap float pass over log10 term magnitudes (log_term0, and
+    log_ratio(k) = log10|r(k)|) estimates the peak term, which fixes the
+    working precision (the series alternate in sign, and the peak can
+    exceed the sum by hundreds of digits).  The exact pass then applies
+    the truncation rule and the tail bound of the module docstring.  It
+    calls mp_term0() and mp_ratio(k) inside the working precision; each
+    returns the term or the ratio as a raw _mpf_ tuple computed at that
+    precision and rounding.  The exact pass is the loop
+
+        s = 0; t = t_0
+        s += t; r = r(n); nxt = t r
+        stop if |t| <= tol max(1, |s|) and |r| < 1, else t = nxt
+
+    in mpmath.libmp operations, each on the operands, in the order and at
+    the precision and rounding that mpf arithmetic would use, so its
+    values are those of the loop on mpf objects bit for bit.  The tail,
+    the rounding floor and the result are mpf.  A terms_max below 1
+    raises InvalidArgument.
     """
     if not tol > 0:
         raise InvalidArgument(f"tol must be positive; got {tol}")
@@ -164,27 +190,41 @@ def sum_series(
         )
     dps = max(MIN_DPS, int(peak + digs) + GUARD_DIGITS)
     with mp.workdps(dps):
+        prec, rnd = mp.mp._prec_rounding
+        # tol max(1, |s|) as mpmath evaluates it: tol times |s| while
+        # |s| > 1, with tol converted exactly as a right-hand operand; else
+        # tol * 1, which is tol for a float or an int and tol rounded to
+        # the working precision for an mpf.
+        tol_m = mp.mpf.mpf_convert_rhs(tol)
+        tol_1 = mp.mpf.mpf_convert_rhs(tol * 1)
         t = mp_term0()
-        s = mp.mpf(0)
+        s = fzero
         n = 0
-        tail = None
         while n < terms_max:
-            s += t
+            s = mpf_add(s, t, prec, rnd)
             r = mp_ratio(n)
             n += 1
-            nxt = t * r
-            if abs(t) <= tol * max(1, abs(s)) and abs(r) < 1:
-                tail = abs(nxt) / (1 - abs(r))
-                break
+            nxt = mpf_mul(t, r, prec, rnd)
+            abs_s = mpf_abs(s, prec, rnd)
+            bound = (
+                mpf_mul(tol_m, abs_s, prec, rnd)
+                if mpf_gt(abs_s, fone)
+                else tol_1
+            )
+            if mpf_le(mpf_abs(t, prec, rnd), bound):
+                abs_r = mpf_abs(r, prec, rnd)
+                if mpf_lt(abs_r, fone):
+                    break
             t = nxt
-        if tail is None:
+        else:
             raise DivergentSeries(
                 f"truncation rule not certified within {terms_max} terms"
             )
+        tail = abs(mp.make_mpf(nxt)) / (1 - mp.make_mpf(abs_r))
         # Add the rounding floor: partial sums peak at ~10^peak, so the
         # summation noise sits near 10^(peak - dps).
         err = tail + mp.mpf(10) ** (int(peak) + 5 - dps)
-        return SeriesValue(+s, +err, n)
+        return SeriesValue(+mp.make_mpf(s), +err, n)
 
 
 def q_derivative(f: Callable, x, q):

@@ -9,8 +9,11 @@ Frozen constants below were produced by these same routines at 40 digits.
 
 The section before the last keeps the J term ratio as the one mpf
 expression the library evaluated before it kept its (q, alpha)-only
-factors in a memo, summed through the package's own `sum_series`: it is
-the reference for the bit-identity of `eval_J` and `eval_dJ_dz`.
+factors in a memo, and `sum_series_mpf`, the library's summation loop as
+it ran on mpf objects before its exact pass moved to raw `_mpf_` tuples:
+summed together they are the reference for the bit-identity of `eval_J`
+and `eval_dJ_dz`, the summation, stop decision, tail and rounding floor
+included.
 
 The last section restates four of the paper's displays that turned out
 false (the product-integral closed form, the norm formula, the sampling
@@ -34,7 +37,9 @@ from bigqbessel import (
     q_derivative_inv,
 )
 from bigqbessel.bqbessel import _log10_abs
-from bigqbessel.qcalc import SeriesValue, _mpf, _workdigits, sum_series
+from bigqbessel.defaults import GUARD_DIGITS, MIN_DPS, TERMS_MAX
+from bigqbessel.errors import DivergentSeries, InvalidArgument
+from bigqbessel.qcalc import SeriesValue, _mpf, _workdigits
 
 # --- frozen constants (independent brute-force series, 40-digit run) ----
 
@@ -205,7 +210,54 @@ def dense_grid_zeros(q, alpha, count, lam_lo, lam_hi, n=400000, dps=40):
     return out
 
 
-# --- the J term ratio as one expression ----------------------------------
+# --- the J term ratio as one expression, summed on mpf objects -----------
+
+
+def sum_series_mpf(
+    log_term0, log_ratio, mp_term0, mp_ratio, tol, terms_max=TERMS_MAX
+):
+    """qcalc.sum_series with its exact pass on mpf objects: mp_term0() and
+    mp_ratio(k) return mpf, and every operation is mpf arithmetic."""
+    if not tol > 0:
+        raise InvalidArgument(f"tol must be positive; got {tol}")
+    if terms_max < 1:
+        raise InvalidArgument(f"terms_max must be at least 1; got {terms_max}")
+    digs = max(1.0, -math.log10(tol))
+    lt = log_term0
+    peak = max(0.0, lt)
+    k = 0
+    while k < terms_max:
+        lr = log_ratio(k)
+        lt += lr
+        k += 1
+        peak = max(peak, lt)
+        if lr < 0 and lt < -(digs + 10):
+            break
+    else:
+        raise DivergentSeries(
+            f"series failed to decay within the {terms_max}-term budget"
+        )
+    dps = max(MIN_DPS, int(peak + digs) + GUARD_DIGITS)
+    with mp.workdps(dps):
+        t = mp_term0()
+        s = mp.mpf(0)
+        n = 0
+        tail = None
+        while n < terms_max:
+            s += t
+            r = mp_ratio(n)
+            n += 1
+            nxt = t * r
+            if abs(t) <= tol * max(1, abs(s)) and abs(r) < 1:
+                tail = abs(nxt) / (1 - abs(r))
+                break
+            t = nxt
+        if tail is None:
+            raise DivergentSeries(
+                f"truncation rule not certified within {terms_max} terms"
+            )
+        err = tail + mp.mpf(10) ** (int(peak) + 5 - dps)
+        return SeriesValue(+s, +err, n)
 
 
 def ratio_expression(alpha, x, z, q):
@@ -254,19 +306,19 @@ def ratio_expression(alpha, x, z, q):
 
 
 def expression_J(q, alpha, x, z, tol):
-    """eval_J's series summed with ratio_expression."""
+    """eval_J's series summed with ratio_expression by sum_series_mpf."""
     if z == 0:
         return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
     log_ratio, ratio = ratio_expression(alpha, x, z, q)
-    return sum_series(0.0, log_ratio, lambda: mp.mpf(1), ratio, tol)
+    return sum_series_mpf(0.0, log_ratio, lambda: mp.mpf(1), ratio, tol)
 
 
 def expression_dJ_dz(q, alpha, x, z, tol):
-    """eval_dJ_dz's series summed with ratio_expression: first term r(0)
-    at z = 1, ratio (n+2)/(n+1) r(n+1)."""
+    """eval_dJ_dz's series summed with ratio_expression by sum_series_mpf:
+    first term r(0) at z = 1, ratio (n+2)/(n+1) r(n+1)."""
     log_c1, c1 = ratio_expression(alpha, x, 1, q)
     log_ratio, ratio = ratio_expression(alpha, x, z, q)
-    return sum_series(
+    return sum_series_mpf(
         log_c1(0),
         lambda n: log_ratio(n + 1, (n + 2) / (n + 1)),
         lambda: c1(0),

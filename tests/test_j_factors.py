@@ -1,13 +1,17 @@
-"""The J series' memo of (q, alpha)-only ratio factors: every value equals
-the one-expression ratio of tests/oracles.py bit for bit, and the memo
-stays small while it saves the zero finder most of its q-powers.
+"""The J series' memo of (q, alpha)-only ratio factors and the raw-tuple
+exact pass of sum_series: every value equals the one-expression ratio of
+tests/oracles.py summed on mpf objects (oracles.sum_series_mpf) bit for
+bit, and the memo stays small while it saves the zero finder most of its
+q-powers.
 """
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import fzero
 
 from bigqbessel import QContext, bqbessel, eval_dJ_dz, eval_J, find_zeros
+from bigqbessel.qcalc import sum_series
 
 import oracles
 
@@ -60,6 +64,63 @@ def test_ratio_is_bit_identical_to_the_expression(q, alpha, x, z, tol, wide):
     _assert_as_expression(q, alpha, x, z, tol)
 
 
+def _wide_tol(v):
+    """v/3 as an mpf of 120 bits, more than a 30-digit working precision
+    (103 bits) holds."""
+    with mp.workprec(120):
+        return mp.mpf(v) / 3
+
+
+# q and alpha are exact in 30 bits; x and z are not
+EDGE_POINTS = [
+    (0.5, 0, 1, 2.5),
+    (0.75, 1.5, 0.3, 40.0),
+    (0.25, -0.5, 1.7, -3e3),
+    (0.5, 0.5, 30.0, 0.7),
+]
+
+
+@pytest.mark.parametrize("q,alpha,x,z", EDGE_POINTS)
+@pytest.mark.parametrize(
+    "caller_prec,tol",
+    [
+        (30, 1e-12),
+        (30, 1e-30),
+        (None, _wide_tol(3e-4)),
+        (None, _wide_tol(3e-15)),
+        (None, 1),
+        (30, 1),
+    ],
+)
+def test_precision_and_tol_edges(q, alpha, x, z, caller_prec, tol):
+    # the working precision and rounding come from the context inside
+    # sum_series whatever the caller's precision; an mpf tol and an int tol
+    # are converted as mpf arithmetic converts them
+    if caller_prec is None:
+        _assert_as_expression(q, alpha, x, z, tol)
+    else:
+        with mp.workprec(caller_prec):
+            _assert_as_expression(q, alpha, x, z, tol)
+
+
+def test_an_mpf_tol_rounds_where_mpf_arithmetic_rounds_it():
+    # While |s| <= 1, tol max(1, |s|) is tol * 1, which rounds an mpf tol
+    # to the working precision (30 digits here).  This tol rounds up there,
+    # to t_0, so the one-term series stops at once; compared with the
+    # unrounded tol it would take a second term.
+    with mp.workdps(30):
+        prec = mp.mp.prec
+    with mp.workprec(prec + 20):
+        t0 = mp.mpf(2) ** -12 * (1 + mp.mpf(2) ** (1 - prec))
+        tol = t0 - mp.mpf(2) ** (-12 - prec - 10)
+    assert tol < t0
+    args = (-3.6, lambda k: -100.0)
+    got = sum_series(*args, lambda: t0._mpf_, lambda k: fzero, tol)
+    want = oracles.sum_series_mpf(*args, lambda: t0, lambda k: mp.mpf(0), tol)
+    assert _bits(got) == _bits(want)
+    assert got.terms_used == 1
+
+
 # more (q, alpha, tol) keys than the memo holds, visited in turn, so that
 # entries are evicted and built again
 KEYS = [
@@ -95,14 +156,20 @@ def _entries():
 
 
 def _count_work(monkeypatch):
-    """Counters of the factor rows built and the terms summed."""
-    counts = {"rows": 0, "terms": 0}
+    """Counters of the factor rows and lead rows built and the terms
+    summed."""
+    counts = {"rows": 0, "lead_rows": 0, "terms": 0}
     row = bqbessel._Factors._row
+    lead_row = bqbessel._Factors._lead_row
     sum_series = bqbessel.sum_series
 
     def counted_row(self):
         counts["rows"] += 1
         row(self)
+
+    def counted_lead_row(self):
+        counts["lead_rows"] += 1
+        lead_row(self)
 
     def counted_sum(*args, **kwargs):
         sv = sum_series(*args, **kwargs)
@@ -110,6 +177,7 @@ def _count_work(monkeypatch):
         return sv
 
     monkeypatch.setattr(bqbessel._Factors, "_row", counted_row)
+    monkeypatch.setattr(bqbessel._Factors, "_lead_row", counted_lead_row)
     monkeypatch.setattr(bqbessel, "sum_series", counted_sum)
     bqbessel._factors.cache_clear()
     return counts
@@ -120,8 +188,21 @@ def test_zero_finder_reuses_factor_rows(monkeypatch, q, alpha, count):
     counts = _count_work(monkeypatch)
     assert len(find_zeros(QContext(q), alpha, count, tol=1e-12)) == count
     assert counts["terms"] > 0
-    assert counts["rows"] <= counts["terms"] / 4
+    assert counts["lead_rows"] > 0
+    assert counts["rows"] + counts["lead_rows"] <= counts["terms"] / 4
     assert _entries() <= bqbessel._FACTOR_SLOTS
+
+
+def test_lead_rows_are_built_only_for_dJ_dz(monkeypatch):
+    counts = _count_work(monkeypatch)
+    ctx = QContext(0.5)
+    for alpha in (0, 0.5, 1.33):
+        for z in (2.5, 40.0, -3.0, 1e3):
+            eval_J(ctx, alpha, 1, z, 1e-15)
+    assert counts["rows"] > 0
+    assert counts["lead_rows"] == 0
+    eval_dJ_dz(ctx, 0.5, 1, 40.0, 1e-15)
+    assert counts["lead_rows"] > 0
 
 
 def test_memo_stays_bounded():

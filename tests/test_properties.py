@@ -132,7 +132,7 @@ def test_j_ratio_does_not_increase(q, alpha, x, z, dps):
     # eval_dJ_dz
     _, ratio = _j_ratio(alpha, x, z, q)
     with mp.workdps(dps):
-        plain = [abs(ratio(k)) for k in range(61)]
-        led = [abs(ratio(k, mp.mpf(k + 1) / k)) for k in range(1, 61)]
+        plain = [abs(mp.make_mpf(ratio(k))) for k in range(61)]
+        led = [abs(mp.make_mpf(ratio(k, True))) for k in range(1, 61)]
     for r in (plain, led):
         assert all(b <= a for a, b in zip(r, r[1:]))

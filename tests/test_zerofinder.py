@@ -263,3 +263,26 @@ def test_j_sign_declines_values_that_are_not_doubles():
     assert _j_sign(0.5, z, 0.5) == 0
     assert _j_sign(alpha, 0.3, 0.5) == 0
     assert _j_sign(0.5, mp.mpf(0.3), 0.5) == 1
+    # an mpf computed at 200 bits that equals a double is certified like
+    # the double
+    def at200(v):
+        with mp.workprec(200):
+            return (mp.mpf(v) + mp.mpf(2) ** -150) - mp.mpf(2) ** -150
+
+    assert _j_sign(at200(0.5), at200(0.3), at200(0.5)) == 1
+    assert _j_sign(at200(0.5), at200(5.0), at200(0.5)) == -1
+    assert _j_sign(0.5, 5.0, 0.5) == -1
+    with mp.workdps(60):
+        third = mp.mpf(1) / 3
+    assert _j_sign(third, 0.3, 0.5) == 0
+    assert _j_sign(0.5, third, 0.5) == 0
+    assert _j_sign(0.5, 0.3, third) == 0
+    # an int alpha is the double it equals
+    for a in (0, 1):
+        assert _j_sign(a, 0.3, 0.5) == _j_sign(float(a), 0.3, 0.5) != 0
+    # a subnormal z is a double, but its sum would underflow
+    for tiny in (5e-324, 1e-310):
+        assert _j_sign(0.5, tiny, 0.5) == 0
+    # a double stays a double at any mpmath precision of the caller
+    with mp.workprec(30):
+        assert _j_sign(0.5, 0.3, 0.5) == 1
