@@ -18,12 +18,14 @@ Its factors that depend on neither x nor z, q^(2alpha+2) and per term
 are shared by every call at the same q, alpha and working precision: they
 live in a memo keyed by (q, alpha, mpmath's precision and rounding), with
 q and alpha compared by value, that holds the _FACTOR_SLOTS keys used
-last (an LRU cache).  The memo keeps them as mpmath's raw _mpf_ tuples,
-and the ratio combines them with x and z through mpmath.libmp, the raw
-form that sum_series' exact pass sums.  Each factor, and each step of the
+last (an LRU cache).  The memo builds them as mpmath's raw _mpf_ tuples
+through mpmath.libmp, taking log q once per entry for the real powers of
+q, and the ratio combines them with x and z the same way, in the raw form
+that sum_series' exact pass sums.  Each factor, and each step of the
 ratio, is the same mpmath operation on the same operands at the same
 precision and rounding as in the ratio written as one mpf expression, so
-every value is bit-identical to that expression's.
+every value is bit-identical to that expression's.  x and z enter
+unrounded, so the caller's precision does not change a value.
 """
 
 from __future__ import annotations
@@ -34,7 +36,21 @@ import sys
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import fone, from_float, mpf_add, mpf_div, mpf_mul
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_sub,
+)
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
 from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
@@ -72,7 +88,17 @@ def _log10_abs(v) -> float:
     return float(mp.log10(abs(_mpf(v)))) if v else -math.inf
 
 
-# The memo of _Factors (_factors) holds the _FACTOR_SLOTS keys used last.
+def _exact(v) -> tuple:
+    """v as a raw _mpf_ tuple, unrounded for an int, a float or an mpf (as
+    mpf arithmetic converts a right-hand operand), so that the caller's
+    precision does not round it; any other type through _mpf."""
+    if isinstance(v, (int, float, mp.mpf)):
+        return mp.mpf.mpf_convert_rhs(v)
+    return _mpf(v)._mpf_
+
+
+# The memo of _Factors (_factors) holds the _FACTOR_SLOTS keys used last;
+# each entry builds its rows on raw tuples and takes log q at most once.
 # Factor rows built per round of the benchmark's workloads, by memo size
 # (without the memo every term builds one; zero_tables: 1 round, seed 1,
 # 31 467 terms summed; lattice: 2 rounds, seed 1, 37 932 terms):
@@ -95,34 +121,69 @@ class _Factors:
     precision: A = q^(2alpha+2) and, per row k, T_k = (-q^(2k)) A,
     p_k = q^(2k) and D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)), and the
     lead row L_k = ((-p_k) ((k+1)/k)) A of eval_dJ_dz, k >= 1.  Rows are
-    built in order, on demand, at the precision of the entry's key, by mpf
-    expressions; T, p, D and L keep each value as its raw _mpf_ tuple.
-    Only eval_dJ_dz reads L, so only it builds lead rows."""
+    built in order, on demand, at the precision and rounding of the
+    entry's key, as raw _mpf_ tuples through mpmath.libmp: each step is
+    the operation mpf arithmetic performs for the expression
+    (q^(2k+2), 2 alpha + 2 + 2k, 1 - y, -p_k A, ...), on the same operands
+    in the same order at the same precision and rounding, so every row is
+    the expression's bit for bit (tests/oracles.py keeps the expression).
+    Only eval_dJ_dz reads L, so only it builds lead rows.
 
-    __slots__ = ("qm", "am", "A", "T", "p", "D", "L")
+    q^t for a real exponent t is mpmath's mpf_pow(q, t): mpf_pow_int for
+    an integer t, a square root for a half-integer one, and otherwise
+    exp(t c) with c = log q at 10 guard bits, which does not depend on t.
+    The entry takes c once, when it first needs it, instead of once per
+    row."""
+
+    __slots__ = ("qm", "prec", "rnd", "log_q", "e0", "A", "T", "p", "D", "L")
 
     def __init__(self, q, alpha):
-        self.qm = _mpf(q)
-        self.am = _mpf(alpha)
-        self.A = self.qm ** (2 * (self.am + 1))
+        self.prec, self.rnd = prec, rnd = mp.mp._prec_rounding
+        self.qm = _mpf(q)._mpf_
+        am = _mpf(alpha)._mpf_
+        self.log_q = None
+        # 2 alpha + 2, the k-free part of the exponent 2 alpha + 2 + 2k
+        self.e0 = mpf_add(
+            mpf_mul_int(am, 2, prec, rnd), from_int(2), prec, rnd
+        )
+        self.A = self._pow(
+            mpf_mul_int(mpf_add(am, from_int(1), prec, rnd), 2, prec, rnd)
+        )
         self.T, self.D = [], []
-        self.p = [(self.qm ** 0)._mpf_]
+        self.p = [fone]  # q^0
         self.L = [None]  # the lead (k+1)/k starts at k = 1
+
+    def _pow(self, t: tuple) -> tuple:
+        """q^t as mpf_pow(q, t) rounds it, with log q taken once."""
+        if t[2] >= -1:  # an integer or a half-integer t
+            return mpf_pow(self.qm, t, self.prec, self.rnd)
+        if self.log_q is None:
+            self.log_q = mpf_log(self.qm, self.prec + 10, self.rnd)
+        return mpf_exp(mpf_mul(t, self.log_q), self.prec, self.rnd)
 
     def _row(self) -> None:
         """Append row k = len(D); q^(2k+2) is kept as p_(k+1)."""
+        prec, rnd = self.prec, self.rnd
         k = len(self.D)
-        qm = self.qm
-        p1 = qm ** (2 * k + 2)
-        self.T.append((-mp.make_mpf(self.p[k]) * self.A)._mpf_)
-        self.p.append(p1._mpf_)
-        self.D.append(((1 - p1) * (1 - qm ** (2 * self.am + 2 + 2 * k)))._mpf_)
+        p1 = mpf_pow_int(self.qm, 2 * k + 2, prec, rnd)
+        t = mpf_neg(self.p[k], prec, rnd)
+        self.T.append(mpf_mul(t, self.A, prec, rnd))
+        self.p.append(p1)
+        y = self._pow(mpf_add(self.e0, from_int(2 * k), prec, rnd))
+        self.D.append(
+            mpf_mul(
+                mpf_sub(fone, p1, prec, rnd), mpf_sub(fone, y, prec, rnd),
+                prec, rnd,
+            )
+        )
 
     def _lead_row(self) -> None:
         """Append lead row k = len(L), which needs row k - 1."""
+        prec, rnd = self.prec, self.rnd
         k = len(self.L)
-        lead = mp.mpf(k + 1) / k
-        self.L.append((-mp.make_mpf(self.p[k]) * lead * self.A)._mpf_)
+        lead = mpf_div(from_int(k + 1, prec, rnd), from_int(k), prec, rnd)
+        t = mpf_mul(mpf_neg(self.p[k], prec, rnd), lead, prec, rnd)
+        self.L.append(mpf_mul(t, self.A, prec, rnd))
 
 
 @functools.lru_cache(maxsize=_FACTOR_SLOTS)
@@ -144,7 +205,8 @@ def _j_ratio(alpha, x, z, q):
     exact r(k), or with led the r(k) times the lead (k+1)/k of eval_dJ_dz
     (k >= 1), as a raw _mpf_ tuple at the current precision and rounding.
     log10(x^2 + q^(2k)) is a log-sum of 2 log10|x| and 2k log10 q, so the
-    float pass does not overflow for large |x|.  A non-finite alpha, x or
+    float pass does not overflow for large |x|.  x and z enter unrounded
+    (_exact), whatever the caller's precision.  A non-finite alpha, x or
     z raises InvalidArgument.
 
     The exact ratio reads T_k = (-p_k) A, p_k = q^(2k),
@@ -192,8 +254,8 @@ def _j_ratio(alpha, x, z, q):
             - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
 
-    xm = _mpf(x)._mpf_
-    zm = _mpf(z)._mpf_
+    xm = _exact(x)
+    zm = _exact(z)
     # the precision and rounding, the memo entry and x^2 of the last call
     prec_rounding, f, x2 = None, None, None
 
@@ -322,9 +384,9 @@ def eval_dJ_dz(
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     # d_k = k c_k z^(k-1), with the loop index n = k - 1: the first term
     # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  x is
-    # converted to mpf once for both ratios.  At z = 0 every ratio is 0,
-    # and the sum is c_1 alone.
-    xm = _mpf(x)
+    # converted to mpf once for both ratios, unrounded as in _j_ratio.  At
+    # z = 0 every ratio is 0, and the sum is c_1 alone.
+    xm = mp.make_mpf(_exact(x))
     log_c1, c1 = _j_ratio(alpha, xm, 1, ctx.q)
     log_ratio, ratio = _j_ratio(alpha, xm, z, ctx.q)
     return sum_series(

@@ -13,7 +13,8 @@ factors in a memo, and `sum_series_mpf`, the library's summation loop as
 it ran on mpf objects before its exact pass moved to raw `_mpf_` tuples:
 summed together they are the reference for the bit-identity of `eval_J`
 and `eval_dJ_dz`, the summation, stop decision, tail and rounding floor
-included.
+included.  `factor_rows_expression` keeps the memo's factor rows as the
+mpf expressions that built them before they were built on raw tuples.
 
 The last section restates four of the paper's displays that turned out
 false (the product-integral closed form, the norm formula, the sampling
@@ -260,6 +261,13 @@ def sum_series_mpf(
         return SeriesValue(+s, +err, n)
 
 
+def _unrounded(v):
+    """v as an mpf that the caller's precision has not rounded: an int, a
+    float or an mpf converted exactly, as mpf arithmetic converts a
+    right-hand operand."""
+    return mp.make_mpf(mp.mpf.mpf_convert_rhs(v))
+
+
 def ratio_expression(alpha, x, z, q):
     """The pair (log10|lead r(k)|, lead r(k)) of the J series as
     sum_series takes it, with r(k) as one mpf expression per term:
@@ -267,7 +275,8 @@ def ratio_expression(alpha, x, z, q):
         r(k) = -q^(2k) q^(2alpha+2) (x^2 + q^(2k)) z
                / ((1 - q^(2k+2)) (1 - q^(2alpha+2+2k))),
 
-    every q-power recomputed at the precision of the call."""
+    every q-power recomputed at the precision of the call, and x and z
+    taken unrounded."""
     qf = float(q)
     af = float(alpha)
     lq = math.log10(qf)
@@ -288,7 +297,7 @@ def ratio_expression(alpha, x, z, q):
             - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
 
-    qm, xm, zm, am = _mpf(q), _mpf(x), _mpf(z), _mpf(alpha)
+    qm, xm, zm, am = _mpf(q), _unrounded(x), _unrounded(z), _mpf(alpha)
 
     def ratio(k, lead=None):
         t = -(qm ** (2 * k))
@@ -303,6 +312,26 @@ def ratio_expression(alpha, x, z, q):
         )
 
     return log_ratio, ratio
+
+
+def factor_rows_expression(q, alpha, rows):
+    """The (q, alpha)-only factors of r(k) for k < rows as mpf expressions
+    at the current precision and rounding, each as its raw _mpf_ tuple:
+    A = q^(2alpha+2), T_k = (-q^(2k)) A, p_k = q^(2k) (k <= rows),
+    D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)) and the lead row
+    L_k = ((-p_k) ((k+1)/k)) A of eval_dJ_dz (L_0 is None)."""
+    qm, am = _mpf(q), _mpf(alpha)
+    A = qm ** (2 * (am + 1))
+    p = [qm ** (2 * k) for k in range(rows + 1)]
+    T = [(-p[k] * A)._mpf_ for k in range(rows)]
+    D = [
+        ((1 - qm ** (2 * k + 2)) * (1 - qm ** (2 * am + 2 + 2 * k)))._mpf_
+        for k in range(rows)
+    ]
+    L = [None] + [
+        (-p[k] * (mp.mpf(k + 1) / k) * A)._mpf_ for k in range(1, rows)
+    ]
+    return A._mpf_, T, [v._mpf_ for v in p], D, L
 
 
 def expression_J(q, alpha, x, z, tol):

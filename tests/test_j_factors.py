@@ -205,6 +205,66 @@ def test_lead_rows_are_built_only_for_dJ_dz(monkeypatch):
     assert counts["lead_rows"] > 0
 
 
+# (q, alpha): the exponents 2 alpha + 2 + 2k of q are integers (mpmath's
+# integer power), half-integers (its square-root branch) or general
+# (exp(t log q)); one q is off the double grid
+ROW_CASES = [
+    (0.3, 2),
+    (0.8, 0.5),
+    (0.55, 0.25),
+    (0.9, -0.75),
+    (0.5, 0.37),
+    (_wide(0.7), _wide(1.3)),
+]
+
+
+@pytest.mark.parametrize("q,alpha", ROW_CASES)
+@pytest.mark.parametrize("prec", [53, 130, 332, 700, 2000])
+def test_factor_rows_are_the_expressions_bit_for_bit(q, alpha, prec):
+    # the rows are built with mpmath.libmp on raw tuples, with mpf_pow's
+    # log q taken once per entry; this pins them to the mpf expressions
+    # under every rounding mode, which the memo keys on
+    rows = 60
+    with mp.workprec(prec):
+        saved = mp.mp._prec_rounding[1]
+        try:
+            for rnd in "nfcdu":
+                mp.mp._prec_rounding[1] = rnd
+                f = bqbessel._factors(q, alpha, *mp.mp._prec_rounding)
+                while len(f.D) < rows:
+                    f._row()
+                while len(f.L) < rows:
+                    f._lead_row()
+                got = (f.A, f.T, f.p, f.D, f.L)
+                assert got == oracles.factor_rows_expression(q, alpha, rows)
+        finally:
+            mp.mp._prec_rounding[1] = saved
+
+
+@pytest.mark.parametrize(
+    "alpha,calls", [(0.37, 1), (0, 0), (1, 0), (0.5, 0), (-0.5, 0), (0.25, 0)]
+)
+def test_log_q_is_taken_once_per_entry(monkeypatch, alpha, calls):
+    # mpmath's mpf_pow(q, t) takes log q for every t that is neither an
+    # integer nor a half-integer; the entry takes it once for all its rows
+    from mpmath.libmp import libelefun
+
+    seen = []
+    log = libelefun.mpf_log
+
+    def counted_log(*args):
+        seen.append(args)
+        return log(*args)
+
+    monkeypatch.setattr(bqbessel, "mpf_log", counted_log)
+    monkeypatch.setattr(libelefun, "mpf_log", counted_log)
+    with mp.workdps(40):
+        f = bqbessel._Factors(0.5, alpha)
+        for _ in range(60):
+            f._row()
+    assert len(seen) == calls
+
+
 def test_memo_stays_bounded():
     ctx = QContext(0.5)
     for n in range(50):

@@ -81,6 +81,17 @@ def _bits(v):
     return v
 
 
+# the L1 calls, whose x and z enter unrounded: below 53 bits a caller's
+# precision would otherwise round the float arguments
+L1_CALLS = [
+    "eval_J",
+    "eval_dJ_dz",
+    "eval_dJ_dz at z = 0",
+    "eval_big_cos",
+    "eval_big_sin",
+]
+
+
 @pytest.fixture(scope="module")
 def table():
     return find_zeros(CTX, 0.0, 3, tol=1e-12)
@@ -96,3 +107,12 @@ def test_result_ignores_the_callers_precision(table, name):
     with mp.workdps(60):
         raised = _bits(call(table))
     assert raised == default
+
+
+@pytest.mark.parametrize("name", L1_CALLS)
+def test_l1_ignores_a_lower_callers_precision(name):
+    call = CALLS[name]
+    default = _bits(call(None))
+    with mp.workprec(30):
+        lowered = _bits(call(None))
+    assert lowered == default
