@@ -24,8 +24,8 @@ q, and the ratio combines them with x and z the same way, in the raw form
 that sum_series' exact pass sums.  Each factor, and each step of the
 ratio, is the same mpmath operation on the same operands at the same
 precision and rounding as in the ratio written as one mpf expression, so
-every value is bit-identical to that expression's.  x and z enter
-unrounded, so the caller's precision does not change a value.
+every value is bit-identical to that expression's.  alpha, x and z enter
+exactly (qcalc._arg), so the caller's precision does not change a value.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
 from .qcalc import (
     QContext,
     SeriesValue,
-    _mpf,
-    _require_finite,
+    _arg,
+    _integer,
+    _tol,
     _workdigits,
     fused_product_ratio,
     q_derivative,
@@ -79,22 +80,13 @@ __all__ = [
 ]
 
 
-def _log10_abs(v) -> float:
-    """log10|v| as a float, also for an mpf beyond the double range;
-    -inf at v = 0."""
+def _log10_abs(v: mp.mpf) -> float:
+    """log10|v| as a float, also for v beyond the double range; -inf at
+    v = 0."""
     f = abs(float(v))
     if 0 < f < math.inf:
         return math.log10(f)
-    return float(mp.log10(abs(_mpf(v)))) if v else -math.inf
-
-
-def _exact(v) -> tuple:
-    """v as a raw _mpf_ tuple, unrounded for an int, a float or an mpf (as
-    mpf arithmetic converts a right-hand operand), so that the caller's
-    precision does not round it; any other type through _mpf."""
-    if isinstance(v, (int, float, mp.mpf)):
-        return mp.mpf.mpf_convert_rhs(v)
-    return _mpf(v)._mpf_
+    return float(mp.log10(abs(v))) if v else -math.inf
 
 
 # The memo of _Factors (_factors) holds the _FACTOR_SLOTS keys used last;
@@ -139,8 +131,8 @@ class _Factors:
 
     def __init__(self, q, alpha):
         self.prec, self.rnd = prec, rnd = mp.mp._prec_rounding
-        self.qm = _mpf(q)._mpf_
-        am = _mpf(alpha)._mpf_
+        self.qm = _arg("q", q)._mpf_
+        am = _arg("alpha", alpha)._mpf_
         self.log_q = None
         # 2 alpha + 2, the k-free part of the exponent 2 alpha + 2 + 2k
         self.e0 = mpf_add(
@@ -205,9 +197,8 @@ def _j_ratio(alpha, x, z, q):
     exact r(k), or with led the r(k) times the lead (k+1)/k of eval_dJ_dz
     (k >= 1), as a raw _mpf_ tuple at the current precision and rounding.
     log10(x^2 + q^(2k)) is a log-sum of 2 log10|x| and 2k log10 q, so the
-    float pass does not overflow for large |x|.  x and z enter unrounded
-    (_exact), whatever the caller's precision.  A non-finite alpha, x or
-    z raises InvalidArgument.
+    float pass does not overflow for large |x|.  alpha, x and z are mpf,
+    converted exactly by the public entry (_arg).
 
     The exact ratio reads T_k = (-p_k) A, p_k = q^(2k),
     D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)) and, with led, the lead row
@@ -233,7 +224,6 @@ def _j_ratio(alpha, x, z, q):
     each factor after q^2 lies in (0, 1].  The lead (k+1)/k that
     eval_dJ_dz puts on r(k), k >= 1, falls with k, so it keeps the bound.
     """
-    _require_finite(alpha=alpha, x=x, z=z)
     qf = float(q)
     af = float(alpha)
     lq = math.log10(qf)
@@ -254,8 +244,8 @@ def _j_ratio(alpha, x, z, q):
             - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
 
-    xm = _exact(x)
-    zm = _exact(z)
+    xm = x._mpf_
+    zm = z._mpf_
     # the precision and rounding, the memo entry and x^2 of the last call
     prec_rounding, f, x2 = None, None, None
 
@@ -299,7 +289,7 @@ def _j_sign(alpha, z, q) -> int:
         if isinstance(v, mp.mpf):
             if v._mpf_ != from_float(f):
                 return 0
-        elif mp.mpf(f) != v:
+        elif f != v:  # an int, which Python compares with a float exactly
             return 0
     if not (0 < qf < 1 and af > -1 and zf > 0):
         return 0
@@ -364,6 +354,8 @@ def eval_J(
 ) -> SeriesValue:
     """Evaluate J_alpha(x, lambda; q^2) at z = lambda^2 (z may be negative,
     representing lambda on the imaginary axis)."""
+    alpha, x, z = _arg("alpha", alpha), _arg("x", x), _arg("z", z)
+    tol, terms_max = _tol(tol), _integer("terms_max", terms_max)
     if alpha <= -1:
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     if z == 0:
@@ -380,15 +372,15 @@ def eval_dJ_dz(
     The lambda-derivative used by the norm formula and the sampling kernel
     is 2*lambda*eval_dJ_dz.
     """
+    alpha, x, z = _arg("alpha", alpha), _arg("x", x), _arg("z", z)
+    tol = _tol(tol)
     if alpha <= -1:
         raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     # d_k = k c_k z^(k-1), with the loop index n = k - 1: the first term
-    # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  x is
-    # converted to mpf once for both ratios, unrounded as in _j_ratio.  At
+    # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  At
     # z = 0 every ratio is 0, and the sum is c_1 alone.
-    xm = mp.make_mpf(_exact(x))
-    log_c1, c1 = _j_ratio(alpha, xm, 1, ctx.q)
-    log_ratio, ratio = _j_ratio(alpha, xm, z, ctx.q)
+    log_c1, c1 = _j_ratio(alpha, x, mp.mpf(1), ctx.q)
+    log_ratio, ratio = _j_ratio(alpha, x, z, ctx.q)
     return sum_series(
         log_c1(0),
         lambda n: log_ratio(n + 1, (n + 2) / (n + 1)),
@@ -411,7 +403,7 @@ def eval_big_sin(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
     """
     sv = eval_J(ctx, 0.5, x, z, tol)
     with mp.workdps(_workdigits(tol)):
-        pref = 1 / (1 - _mpf(ctx.q))
+        pref = 1 / (1 - _arg("q", ctx.q))
         value = sv.value * pref
         # 1 - q, the division and the product each round by at most
         # 2^-prec relative; 10^(1-dps) covers the three
@@ -422,13 +414,15 @@ def eval_big_sin(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
 def _recurrence_args(ctx: QContext, alpha, x, z):
     """(q, alpha, x, z) as mpf for the recurrences, which need alpha > 0
     and z != 0."""
+    q, alpha = _arg("q", ctx.q), _arg("alpha", alpha)
+    x, z = _arg("x", x), _arg("z", z)
     if alpha <= 0:
         raise InvalidOrder(
             f"alpha must exceed 0 so that alpha-1 > -1; got {alpha}"
         )
     if z == 0:
         raise ZeroSpectralParameter("recurrence undefined at z = 0")
-    return _mpf(ctx.q), _mpf(alpha), _mpf(x), _mpf(z)
+    return q, alpha, x, z
 
 
 def recurrence_alpha_step(ctx: QContext, alpha, x, z, J_prev, J_curr):
@@ -441,11 +435,10 @@ def recurrence_alpha_step(ctx: QContext, alpha, x, z, J_prev, J_curr):
     All three orders must exceed -1, i.e. alpha > 0.
     """
     q, a, x, z = _recurrence_args(ctx, alpha, x, z)
+    J_prev, J_curr = _arg("J_prev", J_prev), _arg("J_curr", J_curr)
     qa = q ** (2 * a)
     pref = (1 - q ** (2 * a + 2)) / (z * qa * (q ** (2 * a + 2) * x * x + 1))
-    return pref * (
-        (1 - qa - z * qa * x * x) * _mpf(J_curr) - (1 - qa) * _mpf(J_prev)
-    )
+    return pref * ((1 - qa - z * qa * x * x) * J_curr - (1 - qa) * J_prev)
 
 
 def recurrence_shifted(ctx: QContext, alpha, x, z, J_prev, J_curr):
@@ -459,12 +452,13 @@ def recurrence_shifted(ctx: QContext, alpha, x, z, J_prev, J_curr):
     that attaches it to J_alpha only does not match a direct evaluation).
     """
     q, a, x, z = _recurrence_args(ctx, alpha, x, z)
+    J_prev, J_curr = _arg("J_prev", J_prev), _arg("J_curr", J_curr)
     pref = (
         (1 - q ** (2 * a + 2))
         * (1 - q ** (2 * a))
         / (z * q ** (2 * a) * (1 + x * x))
     )
-    return pref * (_mpf(J_curr) - _mpf(J_prev))
+    return pref * (J_curr - J_prev)
 
 
 def apply_L(ctx: QContext, alpha, f: Callable, x):
@@ -477,18 +471,16 @@ def apply_L(ctx: QContext, alpha, f: Callable, x):
     J_alpha(., lambda; q^2) is an eigenfunction with eigenvalue
     -lambda^2 q^(2alpha+3) / (1-q)^2.
     """
-    q = _mpf(ctx.q)
-    a = _mpf(alpha)
+    q, a = _arg("q", ctx.q), _arg("alpha", alpha)
 
     def inner(y):
-        y = _mpf(y)
         return (
             fused_product_ratio(y * y, 2, 2 * a + 4, q)
             / y
             * q_derivative(f, y, q)
         )
 
-    x = _mpf(x)
+    x = _arg("x", x)
     return (
         fused_product_ratio(x * x, 2 * a + 2, 2, q)
         / x
@@ -529,10 +521,8 @@ def identity_residual(
                           the paper's display is restated in the
                           test oracles)
     """
-    q = _mpf(ctx.q)
-    a = _mpf(alpha)
-    xm = _mpf(x)
-    zm = _mpf(z)
+    q, a = _arg("q", ctx.q), _arg("alpha", alpha)
+    xm, zm = _arg("x", x), _arg("z", z)
     with mp.workdps(_workdigits(tol)):
         if kind == "dq-order-raise":
             lhs = q_derivative(
@@ -547,7 +537,6 @@ def identity_residual(
             )
         elif kind == "dqinv-order-lower":
             def g(t):
-                t = _mpf(t)
                 return (
                     fused_product_ratio(t * t, 2, 2 * a + 4, q, tol)
                     * eval_J(ctx, a + 1, t, zm, tol).value
@@ -590,7 +579,6 @@ def identity_residual(
             )
         elif kind == "trig-dqinv":
             def g(t):
-                t = _mpf(t)
                 return (
                     fused_product_ratio(t * t, 2, 3, q, tol)
                     * eval_big_sin(ctx, t, zm, tol).value

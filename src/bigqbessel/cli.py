@@ -28,7 +28,7 @@ from .orthogonality import (
     lommel_rhs_closed,
     weight,
 )
-from .qcalc import QContext, _workdigits
+from .qcalc import QContext, _arg, _workdigits
 from .sampling import q_hankel_transform, reconstruct, sampling_kernel
 from .zerofinder import ZeroTable, find_zeros
 
@@ -155,11 +155,12 @@ def _verify_sampling(ctx: QContext, alpha, tol, table) -> List[dict]:
     lam = 0.7
     # the signal and both sides at the transform's working precision
     with mp.workdps(_workdigits(tol)):
-        delta = QLatticeSignal(values=[1 / (1 - mp.mpf(ctx.q))], a=1.0)
+        q, am, lm = _arg("q", ctx.q), _arg("alpha", alpha), _arg("lam", lam)
+        delta = QLatticeSignal(values=[1 / (1 - q)], a=1.0)
         got = q_hankel_transform(ctx, alpha, delta, lam, tol).value
         want = (
             weight(ctx, alpha, 1, tol)
-            * eval_J(ctx, mp.mpf(alpha) + 1, 1, mp.mpf(lam) ** 2, tol).value
+            * eval_J(ctx, am + 1, 1, lm ** 2, tol).value
         )
         residual = float(abs(got - want) / max(1, abs(want)))
     entries.append(

@@ -52,8 +52,8 @@ from .errors import (
 from .qcalc import (
     QContext,
     SeriesValue,
-    _mpf,
-    _require_finite,
+    _arg,
+    _tol,
     _workdigits,
     fused_product_ratio,
     jackson_sum,
@@ -85,10 +85,9 @@ class QLatticeSignal:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise InvalidArgument("signal needs at least one lattice value")
-        _require_finite(a=self.a)
-        for v in self.values:
-            _require_finite(values=v)
-        if self.a <= 0:
+        values = [_arg("values", v) for v in self.values]
+        object.__setattr__(self, "values", values)
+        if _arg("a", self.a) <= 0:
             raise InvalidArgument("lattice scale a must be positive")
 
     def __len__(self) -> int:
@@ -99,7 +98,7 @@ class QLatticeSignal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QLatticeSignal":
-        return cls(values=[mp.mpf(v) for v in d["values"]], a=float(d["a"]))
+        return cls(values=d["values"], a=float(d["a"]))
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,12 @@ def weight(ctx: QContext, alpha, x, tol: float = DEFAULT_TOL):
     the truncation, so weight(QContext(0.5), 0, 0.7, tol=1e-30) carries 16
     digits at mpmath's default 53 bits.  The lattice sums call it inside
     their working precision."""
+    x, alpha, tol = _arg("x", x), _arg("alpha", alpha), _tol(tol)
     if not x >= 0:
         raise InvalidArgument(f"weight is defined for x >= 0; got {x}")
     if x == 0:
         return mp.mpf(0)
-    x = _mpf(x)
-    return x * fused_product_ratio(x * x, 2, 2 * _mpf(alpha) + 4, ctx.q, tol)
+    return x * fused_product_ratio(x * x, 2, 2 * alpha + 4, ctx.q, tol)
 
 
 class _Lattice:
@@ -143,9 +142,9 @@ class _Lattice:
         self.ctx = ctx
         self.alpha = alpha
         self.tol = tol
-        self.q = _mpf(ctx.q)
-        self.a = _mpf(a)
-        self.order = _mpf(alpha) + 1
+        self.q = _arg("q", ctx.q)
+        self.a = _arg("a", a)
+        self.order = _arg("alpha", alpha) + 1
         self._qpow: List[mp.mpf] = []
         self._weights: Dict[int, mp.mpf] = {}
         self._basis: "OrderedDict[mp.mpf, _Column]" = OrderedDict()
@@ -169,7 +168,6 @@ class _Lattice:
     def basis(self, zero) -> "_Column":
         """m -> J_{alpha+1}(a q^m, zero^2), the column kept for zero (by
         value) while it is among the _BASIS_SLOTS zeros used last."""
-        zero = _mpf(zero)
         col = self._basis.pop(zero, None)
         if col is None:
             col = self.column(zero * zero)
@@ -194,10 +192,10 @@ class _Lattice:
         n = min(lengths)
         s = mp.mpf(0)
         for m in range(n):
-            fv = _mpf(f[m])
+            fv = f[m]
             if fv == 0:
                 continue
-            gv = _mpf(g[m])
+            gv = g[m]
             if gv == 0:
                 continue
             s += self.weight(m) * fv * gv * self.qpow(m)
@@ -277,6 +275,7 @@ def inner_product(
 ) -> SeriesValue:
     """Weighted q-integral <f, g> over [0, a] of two lattice signals
     (real-valued; conjugation is the identity)."""
+    alpha = _arg("alpha", alpha)
     if f.a != g.a:
         raise ScaleMismatch(f"lattice scales differ: {f.a} vs {g.a}")
     with mp.workdps(_workdigits(tol)):
@@ -288,8 +287,8 @@ def lommel_integral_direct(
 ) -> SeriesValue:
     """(lam^2 - mu^2) times the direct weighted q-integral of
     J_{alpha+1}(x, lam) J_{alpha+1}(x, mu) over [0, a]."""
-    lam = _mpf(lam)
-    mu = _mpf(mu)
+    alpha, a = _arg("alpha", alpha), _arg("a", a)
+    lam, mu = _arg("lam", lam), _arg("mu", mu)
     with mp.workdps(_workdigits(tol)):
         if lam * lam == mu * mu:
             return SeriesValue(mp.mpf(0), mp.mpf(0), 1)
@@ -301,11 +300,10 @@ def lommel_integral_direct(
 
 def _bracket(ctx, alpha, u, v, z_lam, z_mu, tol):
     """B(u, v) = J_{a+1}(u, lam) J_a(v, mu) - J_{a+1}(u, mu) J_a(v, lam)."""
-    am = _mpf(alpha)
-    return eval_J(ctx, am + 1, u, z_lam, tol).value * eval_J(
-        ctx, am, v, z_mu, tol
-    ).value - eval_J(ctx, am + 1, u, z_mu, tol).value * eval_J(
-        ctx, am, v, z_lam, tol
+    return eval_J(ctx, alpha + 1, u, z_lam, tol).value * eval_J(
+        ctx, alpha, v, z_mu, tol
+    ).value - eval_J(ctx, alpha + 1, u, z_mu, tol).value * eval_J(
+        ctx, alpha, v, z_lam, tol
     ).value
 
 
@@ -330,11 +328,8 @@ def lommel_rhs_closed(
     both sides agree (verified against the direct integral to working
     precision).
     """
-    q = _mpf(ctx.q)
-    am = _mpf(alpha)
-    a = _mpf(a)
-    lam = _mpf(lam)
-    mu = _mpf(mu)
+    q, am, a = _arg("q", ctx.q), _arg("alpha", alpha), _arg("a", a)
+    lam, mu = _arg("lam", lam), _arg("mu", mu)
     with mp.workdps(_workdigits(tol)):
         z_lam = lam * lam
         z_mu = mu * mu
@@ -342,7 +337,7 @@ def lommel_rhs_closed(
         bq = _bracket(ctx, am, a / q, a, z_lam, z_mu, tol)
         b0 = _bracket(ctx, am, 0, 0, z_lam, z_mu, tol)
         val = C * (W * bq - b0)
-        err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps) + mp.mpf(tol)
+        err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps) + tol
         return SeriesValue(+val, +err, 1)
 
 
@@ -382,10 +377,8 @@ def norm_sq_closed(
     where dF(0) denotes the lambda-derivative at x = 0.  A point with
     |J_alpha(1, j_k)| > NOT_A_ZERO_TOL raises NotAZero.
     """
-    q = _mpf(ctx.q)
-    am = _mpf(alpha)
-    zero = _mpf(zero)
-    deriv = _mpf(deriv)
+    q, am = _arg("q", ctx.q), _arg("alpha", alpha)
+    zero, deriv = _arg("zero", zero), _arg("deriv", deriv)
     with mp.workdps(_workdigits(tol)):
         z = zero * zero
         resid = abs(eval_J(ctx, am, 1, z, tol).value)
@@ -418,6 +411,7 @@ def gram_matrix(
     Entries are computed for n <= m and mirrored (the integrand is
     symmetric in the two indices).
     """
+    alpha = _arg("alpha", alpha)
     if alpha <= -0.5:
         raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
     _check_table(ctx, alpha, table)
@@ -454,6 +448,7 @@ def fourier_coefficients(
     """Expansion coefficients a_k(f) = <f, J_{alpha+1}(., j_k)> / mu_k with
     mu_k from norm_sq_closed.  f must lie on the unit lattice of the zeros;
     any other scale raises ScaleMismatch."""
+    alpha = _arg("alpha", alpha)
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
     _check_scale(f)
@@ -481,14 +476,13 @@ def fourier_partial_sum(
         raise LengthMismatch(
             f"{len(coeffs)} coefficients vs {len(table)} zeros"
         )
-    _check_table(ctx, alpha, table)
-    am = _mpf(alpha)
-    x = _mpf(x)
+    am, x = _arg("alpha", alpha), _arg("x", x)
+    coeffs = [_arg("coeffs", c) for c in coeffs]
+    _check_table(ctx, am, table)
     with mp.workdps(_workdigits(tol)):
         s = mp.mpf(0)
         for c, j in zip(coeffs, table.zeros):
-            c = _mpf(c)
             if c == 0:
                 continue
-            s += c * eval_J(ctx, am + 1, x, _mpf(j) ** 2, tol).value
+            s += c * eval_J(ctx, am + 1, x, j ** 2, tol).value
         return +s

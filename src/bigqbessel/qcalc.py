@@ -9,9 +9,11 @@ with the mpmath.libmp functions that mpf arithmetic calls, at the same
 precision and rounding, so every value and every stop decision is the one
 the same loop on mpf objects gives (tests/oracles.py keeps that loop).
 
-fused_product_ratio, the q-derivatives, q_integral and jackson_sum
-compute at the caller's precision, and their tol sets only the truncation;
-L1-L3 call them inside the working precision of their own call.
+Every public entry of L0-L3 converts each number of its caller exactly
+(_arg) and checks a tol with _tol and a count with _integer.
+fused_product_ratio, the q-derivatives, q_integral and jackson_sum (so
+orthogonality.weight too) compute at the caller's precision, and their tol
+sets only the truncation; L1-L3 call them inside their working precision.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
     fone,
+    from_float,
+    from_int,
     fzero,
     mpf_abs,
     mpf_add,
@@ -62,7 +69,7 @@ class QContext:
     q: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < float(self.q) < 1.0:
+        if not 0 < _arg("q", self.q) < 1:
             raise InvalidArgument(
                 f"q must lie strictly in (0, 1); got {self.q}"
             )
@@ -77,33 +84,58 @@ class SeriesValue:
     terms_used: int
 
     def __post_init__(self) -> None:
-        if self.abs_error < 0:
+        _arg("value", self.value)
+        if _arg("abs_error", self.abs_error) < 0:
             raise InvalidArgument("abs_error must be nonnegative")
-        if self.terms_used < 1:
-            raise InvalidArgument("terms_used must be at least 1")
+        _integer("terms_used", self.terms_used)
 
     def __float__(self) -> float:
         return float(self.value)
 
 
-def _mpf(x) -> mp.mpf:
-    """x as an mpf; an mpf passes through unrounded."""
-    return x if isinstance(x, mp.mpf) else mp.mpf(x)
+def _arg(name: str, v) -> mp.mpf:
+    """The caller's number v as an mpf: an int or a float (numpy.float64 is
+    one) converted exactly, as mpf.mpf_convert_rhs does, whatever mpmath's
+    precision, or an mpf as it is.  Any other type (str, complex, Fraction,
+    numpy.int64, numpy.float32, mpi, None), and a value that is not
+    finite, raises InvalidArgument naming the argument."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return mp.make_mpf(from_float(v))
+    elif isinstance(v, int):
+        return mp.make_mpf(from_int(v))
+    elif isinstance(v, mp.mpf):
+        if v._mpf_ not in (fnan, finf, fninf):
+            return v
+    else:
+        raise InvalidArgument(
+            f"{name} must be an int, a float or an mpf; "
+            f"got {type(v).__name__} {v!r}"
+        )
+    raise InvalidArgument(f"{name} must be finite; got {v}")
 
 
-def _require_finite(**args) -> None:
-    """Raise InvalidArgument naming the first argument that is not a
-    finite number."""
-    for name, v in args.items():
-        # math.isfinite is the fast path for the common float argument
-        if not (math.isfinite(v) if isinstance(v, float) else mp.isfinite(v)):
-            raise InvalidArgument(f"{name} must be finite; got {v}")
+def _tol(tol):
+    """tol as passed if it is an int, a float or an mpf that is finite and
+    > 0 (a NaN fails 0 < tol); else InvalidArgument."""
+    if isinstance(tol, (int, float, mp.mpf)) and 0 < tol < math.inf:
+        return tol
+    raise InvalidArgument(f"tol must be a finite number > 0; got {tol!r}")
+
+
+def _integer(name: str, v, least: int | None = 1) -> int:
+    """v if it is an int of at least `least` (None: any int); else
+    InvalidArgument naming the argument."""
+    if isinstance(v, int) and (least is None or v >= least):
+        return v
+    bound = "" if least is None else f" >= {least}"
+    raise InvalidArgument(f"{name} must be an integer{bound}; got {v!r}")
 
 
 def _workdigits(tol: float) -> int:
     """Working decimal digits of the routines that combine several series
-    values at tolerance tol."""
-    return max(30, int(-math.log10(tol)) + 15)
+    values at tolerance tol, once _tol accepts it."""
+    return max(30, int(-math.log10(_tol(tol))) + 15)
 
 
 def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
@@ -116,13 +148,9 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     huge/tiny factors for large x2.  At the caller's precision; tol sets
     only the truncation.
     """
-    _require_finite(x2=x2, e_num=e_num, e_den=e_den, q=q)
-    if not tol > 0:
-        raise InvalidArgument(f"tol must be positive; got {tol}")
-    x2 = _mpf(x2)
-    q = _mpf(q)
-    e_num = _mpf(e_num)
-    e_den = _mpf(e_den)
+    x2, q = _arg("x2", x2), _arg("q", q)
+    e_num, e_den = _arg("e_num", e_num), _arg("e_den", e_den)
+    tol = _tol(tol)
     e_min = min(e_num, e_den)
     p = mp.mpf(1)
     j = 0
@@ -166,13 +194,9 @@ def sum_series(
     in mpmath.libmp operations, each on the operands, in the order and at
     the precision and rounding that mpf arithmetic would use, so its
     values are those of the loop on mpf objects bit for bit.  The tail,
-    the rounding floor and the result are mpf.  A terms_max below 1
-    raises InvalidArgument.
+    the rounding floor and the result are mpf.  tol and terms_max come
+    checked from the public entry (_tol, _integer).
     """
-    if not tol > 0:
-        raise InvalidArgument(f"tol must be positive; got {tol}")
-    if terms_max < 1:
-        raise InvalidArgument(f"terms_max must be at least 1; got {terms_max}")
     digs = max(1.0, -math.log10(tol))
     lt = log_term0
     peak = max(0.0, lt)
@@ -230,29 +254,26 @@ def sum_series(
 def q_derivative(f: Callable, x, q):
     """q-difference quotient (f(x) - f(qx)) / ((1-q) x), at the caller's
     precision."""
+    x, q = _arg("x", x), _arg("q", q)
     if x == 0:
         raise ZeroArgument("q_derivative is undefined at x = 0")
-    x = _mpf(x)
-    q = _mpf(q)
-    return (_mpf(f(x)) - _mpf(f(q * x))) / ((1 - q) * x)
+    return (_arg("f(x)", f(x)) - _arg("f(x)", f(q * x))) / ((1 - q) * x)
 
 
 def q_derivative_inv(f: Callable, x, q):
     """Inverse-base difference quotient (f(x) - f(x/q)) / ((1 - 1/q) x), at
     the caller's precision."""
+    x, q = _arg("x", x), _arg("q", q)
     if x == 0:
         raise ZeroArgument("q_derivative_inv is undefined at x = 0")
-    x = _mpf(x)
-    q = _mpf(q)
-    return (_mpf(f(x)) - _mpf(f(x / q))) / ((1 - 1 / q) * x)
+    return (_arg("f(x)", f(x)) - _arg("f(x)", f(x / q))) / ((1 - 1 / q) * x)
 
 
 def q_integral(f: Callable, a, q, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Jackson q-integral (1-q) a sum_n f(a q^n) q^n over [0, a], with the
     tail rule of jackson_sum, at the caller's precision."""
-    a = _mpf(a)
-    q = _mpf(q)
-    return jackson_sum(lambda n: f(a * q**n), a, q, tol)
+    a, q = _arg("a", a), _arg("q", q)
+    return jackson_sum(lambda n: _arg("f(x)", f(a * q**n)), a, q, _tol(tol))
 
 
 def jackson_sum(
@@ -265,20 +286,16 @@ def jackson_sum(
     the max over the first 64 lattice points; the estimate is enlarged on
     the fly if later samples exceed it, which keeps the bound honest.  The
     sum is taken at the caller's precision; tol sets only where it stops.
+    The public entry converts a, q and the samples and checks tol.
     """
-    _require_finite(a=a)
     if a <= 0:
         raise NonPositiveUpperLimit(f"upper limit must be positive; got {a}")
-    if not tol > 0:
-        raise InvalidArgument(f"tol must be positive; got {tol}")
-    a = _mpf(a)
-    q = _mpf(q)
-    head = [_mpf(sample(n)) for n in range(64)]
+    head = [sample(n) for n in range(64)]
     sup = 2 * max(abs(v) for v in head)
     s = mp.mpf(0)
     n = 0
     while n < 10 * TERMS_MAX:
-        fv = head[n] if n < 64 else _mpf(sample(n))
+        fv = head[n] if n < 64 else sample(n)
         if abs(fv) > sup:
             sup = 2 * abs(fv)
         s += fv * q**n

@@ -31,7 +31,7 @@ from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
 from .errors import AtPole, IndexOutOfRange, InvalidArgument, InvalidOrder
 from .orthogonality import QLatticeSignal, _check_scale, _check_table, _lattice
-from .qcalc import QContext, SeriesValue, _mpf, _workdigits
+from .qcalc import QContext, SeriesValue, _arg, _integer, _workdigits
 from .zerofinder import ZeroTable
 
 __all__ = [
@@ -91,9 +91,9 @@ def q_hankel_transform(
     tol: float = DEFAULT_TOL,
 ) -> SeriesValue:
     """Finite big q-Hankel transform of a lattice signal at lambda."""
+    alpha, lam = _arg("alpha", alpha), _arg("lam", lam)
     _check_order(alpha)
     _check_scale(f)
-    lam = _mpf(lam)
     with mp.workdps(_workdigits(tol)):
         lat = _lattice(ctx, alpha, 1.0, tol)
         return lat.integral(f.values, lat.column(lam * lam))
@@ -101,10 +101,10 @@ def q_hankel_transform(
 
 def _kernel(table: ZeroTable, k: int, lam, z, num):
     """S_k(lambda) from num = J_alpha(1, lambda; q^2) and z = lambda^2."""
-    jk = _mpf(table.zeros[k])
+    jk = table.zeros[k]
     if abs(abs(lam) - jk) < KERNEL_POLE_WIDTH * jk:
         return 2 * jk / (abs(lam) + jk)
-    return 2 * jk * num / ((z - jk * jk) * _mpf(table.derivs[k]))
+    return 2 * jk * num / ((z - jk * jk) * table.derivs[k])
 
 
 def sampling_kernel(
@@ -122,15 +122,16 @@ def sampling_kernel(
     equals 1 at lambda = j_k (hard switch; the kernel is smooth on that
     scale).
     """
+    k = _integer("k", k, None)
+    alpha, lam = _arg("alpha", alpha), _arg("lam", lam)
     if not 0 <= k < len(table):
         raise IndexOutOfRange(
             f"kernel index {k} outside table of {len(table)} zeros"
         )
     _check_table(ctx, alpha, table)
-    lam = _mpf(lam)
     with mp.workdps(_workdigits(tol)):
         z = lam * lam
-        num = eval_J(ctx, _mpf(alpha), 1, z, tol).value
+        num = eval_J(ctx, alpha, 1, z, tol).value
         return _kernel(table, k, lam, z, num)
 
 
@@ -144,6 +145,8 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Sampling reconstruction of the transform of f from its values at the
     zeros, compared point-wise against the directly computed transform."""
+    alpha = _arg("alpha", alpha)
+    lams = [_arg("lambdas", v) for v in lambdas]
     _check_order(alpha)
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
@@ -152,12 +155,11 @@ def reconstruct(
     with mp.workdps(_workdigits(tol)):
         lat = _lattice(ctx, alpha, 1.0, tol)
         samples = [lat.integral(f.values, lat.basis(j)).value for j in table.zeros]
-        lams = [_mpf(v) for v in lambdas]
         zs = [lam * lam for lam in lams]
         direct = [lat.integral(f.values, lat.column(z)).value for z in zs]
         recon = []
         for lam, z in zip(lams, zs):
-            num = eval_J(ctx, _mpf(alpha), 1, z, tol).value
+            num = eval_J(ctx, alpha, 1, z, tol).value
             s = mp.mpf(0)
             for k, fj in enumerate(samples):
                 s += fj * _kernel(table, k, lam, z, num)
@@ -186,13 +188,12 @@ def closed_sum_check(
     inconsistent dimensionally in lambda; the form above is the one the
     reconstruction theorem actually produces.)
     """
-    _check_table(ctx, alpha, table)
-    am = _mpf(alpha)
-    lam = _mpf(lam)
+    am, lam = _arg("alpha", alpha), _arg("lam", lam)
+    _check_table(ctx, am, table)
     with mp.workdps(_workdigits(tol)):
         z = lam * lam
         for j in table.zeros:
-            if abs(abs(lam) - _mpf(j)) < 1e-8 * _mpf(j):
+            if abs(abs(lam) - j) < 1e-8 * j:
                 raise AtPole(
                     f"lambda = {mp.nstr(lam)} coincides with a zero"
                 )
@@ -200,10 +201,9 @@ def closed_sum_check(
         if denom == 0:
             raise AtPole("J_alpha(1, lambda) vanishes at this lambda")
         lhs = eval_J(ctx, am + 1, 1, z, tol).value / (2 * denom)
-        lat = _lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, am, 1.0, tol)
         s = mp.mpf(0)
-        for k in range(len(table)):
-            jk = _mpf(table.zeros[k])
+        for jk, dk in zip(table.zeros, table.derivs):
             # J_{alpha+1}(1, j_k) is entry m = 0 of the zero's column
-            s += jk * lat.basis(jk)[0] / ((z - jk * jk) * _mpf(table.derivs[k]))
+            s += jk * lat.basis(jk)[0] / ((z - jk * jk) * dk)
         return ClosedSumResult(+lhs, +s, abs(lhs - s))

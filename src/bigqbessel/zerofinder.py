@@ -24,8 +24,6 @@ caller's precision.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import List, Tuple
 
@@ -46,7 +44,7 @@ from .errors import (
     InvalidOrder,
     NoSignChange,
 )
-from .qcalc import QContext, _require_finite
+from .qcalc import QContext, _arg, _integer, _tol
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
 
@@ -63,14 +61,16 @@ class ZeroTable:
     residuals: List[mp.mpf] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        _arg("q", self.q)
+        _arg("alpha", self.alpha)
         n = len(self.zeros)
         if len(self.derivs) != n or len(self.residuals) != n:
             raise InvalidArgument(
                 "zeros, derivs, residuals must have equal length"
             )
         for name in ("zeros", "derivs", "residuals"):
-            for v in getattr(self, name):
-                _require_finite(**{name: v})
+            entries = [_arg(name, v) for v in getattr(self, name)]
+            object.__setattr__(self, name, entries)
         for a, b in zip(self.zeros, self.zeros[1:]):
             if not a < b:
                 raise InvalidArgument("zeros must be strictly increasing")
@@ -95,13 +95,8 @@ class ZeroTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZeroTable":
-        return cls(
-            q=float(d["q"]),
-            alpha=float(d["alpha"]),
-            zeros=[mp.mpf(v) for v in d["zeros"]],
-            derivs=[mp.mpf(v) for v in d["derivs"]],
-            residuals=[mp.mpf(v) for v in d["residuals"]],
-        )
+        q, alpha = float(d["q"]), float(d["alpha"])
+        return cls(q, alpha, d["zeros"], d["derivs"], d["residuals"])
 
 
 def _g(ctx: QContext, alpha, z, eval_tol):
@@ -109,11 +104,9 @@ def _g(ctx: QContext, alpha, z, eval_tol):
 
 
 def _eval_tol(tol) -> float:
-    """The tolerance of the J evaluations behind a residual target tol;
-    a tol that is not a finite number > 0 raises InvalidArgument."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidArgument(f"tol must be a finite number > 0; got {tol!r}")
-    return min(tol * 1e-4, 1e-16)
+    """The tolerance of the J evaluations behind a residual target tol,
+    once _tol accepts it."""
+    return min(_tol(tol) * 1e-4, 1e-16)
 
 
 def refine_zero(
@@ -129,9 +122,9 @@ def refine_zero(
     (falling back to bisection when it escapes), so the sign change is
     preserved throughout.
     """
+    alpha = _arg("alpha", alpha)
+    z_lo, z_hi = _arg("z_lo", z_lo), _arg("z_hi", z_hi)
     eval_tol = _eval_tol(tol)
-    z_lo = mp.mpf(z_lo)
-    z_hi = mp.mpf(z_hi)
     g_lo = _g(ctx, alpha, z_lo, eval_tol)
     g_hi = _g(ctx, alpha, z_hi, eval_tol)
     # Near large zeros the slope |dg/dz| is huge, so meeting an absolute
@@ -212,25 +205,30 @@ def find_zeros(
 
     tol is the absolute residual target on |J| at each accepted zero.  The
     scan starts at z = Z_START and steps by rho = q^RHO_EXPONENT unless rho
-    is given; a zero whose |dJ/dlambda| is below SIMPLICITY_FLOOR is not
+    (> 1) is given; a zero whose |dJ/dlambda| is below SIMPLICITY_FLOOR is not
     accepted as simple.
     """
-    if alpha <= -0.5:
+    am = _arg("alpha", alpha)
+    if am <= -0.5:
         raise InvalidOrder(
             f"zero ordering requires alpha > -1/2; got {alpha}"
         )
-    if not (isinstance(count, numbers.Integral) and count >= 1):
-        raise InvalidArgument(f"count must be an integer >= 1; got {count!r}")
+    count = _integer("count", count)
+    max_steps = _integer("max_steps", max_steps)
     eval_tol = _eval_tol(tol)
     with mp.workprec(53):
-        rho_m = mp.mpf(ctx.q) ** RHO_EXPONENT if rho is None else mp.mpf(rho)
+        q = _arg("q", ctx.q)
+        rho_m = q ** RHO_EXPONENT if rho is None else _arg("rho", rho)
+        if not rho_m > 1:  # the scan steps up in z
+            raise InvalidArgument(f"rho must exceed 1; got {rho}")
         zeros: List[mp.mpf] = []
         derivs: List[mp.mpf] = []
         residuals: List[mp.mpf] = []
 
         def sign(z):
             # the certified sign where the double sum gives one, else J
-            return _j_sign(alpha, z, ctx.q) or _g(ctx, alpha, z, eval_tol)
+            # (alpha as passed: _j_sign checks a float fastest)
+            return _j_sign(alpha, z, ctx.q) or _g(ctx, am, z, eval_tol)
 
         z_lo = mp.mpf(Z_START)
         g_lo = sign(z_lo)
@@ -262,7 +260,7 @@ def find_zeros(
                     ]
                     brackets.extend(inner or [(sub_z[i], sub_z[i + 1])])
             for zl, zr in brackets:
-                z_star, deriv, g_star = refine_zero(ctx, alpha, zl, zr, tol)
+                z_star, deriv, g_star = refine_zero(ctx, am, zl, zr, tol)
                 if abs(deriv) < SIMPLICITY_FLOOR:
                     raise BracketingFailure(
                         f"derivative {mp.nstr(deriv)} below the simplicity "
@@ -280,4 +278,4 @@ def find_zeros(
                     break
             z_lo, g_lo = z_hi, sub_g[-1]
             steps += 1
-        return ZeroTable(float(ctx.q), float(alpha), zeros, derivs, residuals)
+        return ZeroTable(float(ctx.q), float(am), zeros, derivs, residuals)

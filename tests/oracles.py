@@ -40,7 +40,7 @@ from bigqbessel import (
 from bigqbessel.bqbessel import _log10_abs
 from bigqbessel.defaults import GUARD_DIGITS, MIN_DPS, TERMS_MAX
 from bigqbessel.errors import DivergentSeries, InvalidArgument
-from bigqbessel.qcalc import SeriesValue, _mpf, _workdigits
+from bigqbessel.qcalc import SeriesValue, _workdigits
 
 # --- frozen constants (independent brute-force series, 40-digit run) ----
 
@@ -297,7 +297,8 @@ def ratio_expression(alpha, x, z, q):
             - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
         )
 
-    qm, xm, zm, am = _mpf(q), _unrounded(x), _unrounded(z), _mpf(alpha)
+    qm, am = _unrounded(q), _unrounded(alpha)
+    xm, zm = _unrounded(x), _unrounded(z)
 
     def ratio(k, lead=None):
         t = -(qm ** (2 * k))
@@ -320,7 +321,7 @@ def factor_rows_expression(q, alpha, rows):
     A = q^(2alpha+2), T_k = (-q^(2k)) A, p_k = q^(2k) (k <= rows),
     D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)) and the lead row
     L_k = ((-p_k) ((k+1)/k)) A of eval_dJ_dz (L_0 is None)."""
-    qm, am = _mpf(q), _mpf(alpha)
+    qm, am = _unrounded(q), _unrounded(alpha)
     A = qm ** (2 * (am + 1))
     p = [qm ** (2 * k) for k in range(rows + 1)]
     T = [(-p[k] * A)._mpf_ for k in range(rows)]
@@ -369,7 +370,7 @@ def _closed_form_constants(q, am, a, tol):
 def lommel_rhs_printed(ctx, alpha, a, lam, mu, tol):
     """The product-integral closed form as printed: C W(a) B(a/q, a; mu, lam),
     with the bracket orientation reversed and no x -> 0 boundary term."""
-    q, am, a, lam, mu = (_mpf(v) for v in (ctx.q, alpha, a, lam, mu))
+    q, am, a, lam, mu = (_unrounded(v) for v in (ctx.q, alpha, a, lam, mu))
     with mp.workdps(_workdigits(tol)):
         z_lam = lam * lam
         z_mu = mu * mu
@@ -386,7 +387,9 @@ def norm_sq_closed_printed(ctx, alpha, zero, deriv, tol, a=1.0):
     """The norm formula as printed: C/(2 j_k) W(a) J_{alpha+1}(a/q, j_k)
     times the lambda-derivative, without the x -> 0 boundary derivative
     terms and with the opposite sign."""
-    q, am, a, zero, deriv = (_mpf(v) for v in (ctx.q, alpha, a, zero, deriv))
+    q, am, a, zero, deriv = (
+        _unrounded(v) for v in (ctx.q, alpha, a, zero, deriv)
+    )
     with mp.workdps(_workdigits(tol)):
         C, W = _closed_form_constants(q, am, a, tol)
         jp_aq = eval_J(ctx, am + 1, a / q, zero * zero, tol).value
@@ -396,7 +399,8 @@ def norm_sq_closed_printed(ctx, alpha, zero, deriv, tol, a=1.0):
 def sampling_kernel_printed(ctx, alpha, table, k, lam, tol):
     """The sampling kernel as printed, built on J_{alpha+1} and its
     lambda-derivative at j_k in place of J_alpha."""
-    am, lam, jk = _mpf(alpha), _mpf(lam), _mpf(table.zeros[k])
+    am, lam = _unrounded(alpha), _unrounded(lam)
+    jk = _unrounded(table.zeros[k])
     with mp.workdps(_workdigits(tol)):
         z = lam * lam
         deriv = 2 * jk * eval_dJ_dz(ctx, am + 1, 1, jk * jk, tol).value
@@ -410,11 +414,11 @@ def trig_dqinv_printed_residual(ctx, x, z, tol):
     -x q (1-q)^2 w(2,1) cos(x), as identity_residual's relative residual.
     The library's "trig-dqinv" kind has the corrected constant x q/(1-q).
     """
-    q, xm, zm = _mpf(ctx.q), _mpf(x), _mpf(z)
+    q, xm, zm = _unrounded(ctx.q), _unrounded(x), _unrounded(z)
     with mp.workdps(_workdigits(tol)):
 
         def g(t):
-            t = _mpf(t)
+            t = _unrounded(t)
             return (
                 fused_product_ratio(t * t, 2, 3, q, tol)
                 * eval_big_sin(ctx, t, zm, tol).value

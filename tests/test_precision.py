@@ -3,6 +3,8 @@ gives the same bits at mpmath's default precision and inside a caller's
 higher working precision.
 """
 
+from contextlib import nullcontext
+
 import mpmath as mp
 import pytest
 
@@ -81,38 +83,30 @@ def _bits(v):
     return v
 
 
-# the L1 calls, whose x and z enter unrounded: below 53 bits a caller's
-# precision would otherwise round the float arguments
-L1_CALLS = [
-    "eval_J",
-    "eval_dJ_dz",
-    "eval_dJ_dz at z = 0",
-    "eval_big_cos",
-    "eval_big_sin",
-]
-
-
 @pytest.fixture(scope="module")
 def table():
     return find_zeros(CTX, 0.0, 3, tol=1e-12)
 
 
+def _bits_at(precision, call, table):
+    """The call's bits inside the context `precision`, on a cold L3 memo
+    so that every run computes every value."""
+    orthogonality._memo.cache_clear()
+    with precision:
+        return _bits(call(table))
+
+
 @pytest.mark.parametrize("name", list(CALLS))
 def test_result_ignores_the_callers_precision(table, name):
     call = CALLS[name]
-    # a cold L3 memo for each run, so that both runs compute every value
-    orthogonality._memo.cache_clear()
-    default = _bits(call(table))
-    orthogonality._memo.cache_clear()
-    with mp.workdps(60):
-        raised = _bits(call(table))
-    assert raised == default
+    default = _bits_at(nullcontext(), call, table)
+    assert _bits_at(mp.workdps(60), call, table) == default
 
 
-@pytest.mark.parametrize("name", L1_CALLS)
-def test_l1_ignores_a_lower_callers_precision(name):
+@pytest.mark.parametrize("name", list(CALLS))
+def test_l1_ignores_a_lower_callers_precision(table, name):
+    # every argument of every layer, not only L1's, enters exactly, so
+    # below 53 bits a caller's precision does not round a float argument
     call = CALLS[name]
-    default = _bits(call(None))
-    with mp.workprec(30):
-        lowered = _bits(call(None))
-    assert lowered == default
+    default = _bits_at(nullcontext(), call, table)
+    assert _bits_at(mp.workprec(30), call, table) == default

@@ -130,7 +130,8 @@ def test_j_ratio_does_not_increase(q, alpha, x, z, dps):
     # the premise of the tail |t_(n+1)|/(1 - |r(n)|) that sum_series
     # reports: |r(k+1)| <= |r(k)|, alone and with the lead (k+1)/k of
     # eval_dJ_dz
-    _, ratio = _j_ratio(alpha, x, z, q)
+    # _j_ratio takes alpha, x and z as the public entries pass them: mpf
+    _, ratio = _j_ratio(mp.mpf(alpha), mp.mpf(x), mp.mpf(z), q)
     with mp.workdps(dps):
         plain = [abs(mp.make_mpf(ratio(k))) for k in range(61)]
         led = [abs(mp.make_mpf(ratio(k, True))) for k in range(1, 61)]

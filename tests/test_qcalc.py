@@ -4,11 +4,16 @@ q-Pochhammer and classical closed forms; and the typed errors of bad
 arguments across the library.
 """
 
+import inspect
 import math
+import re
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+import bigqbessel
 from bigqbessel import (
     QContext,
     QLatticeSignal,
@@ -16,6 +21,7 @@ from bigqbessel import (
     SeriesValue,
     ZeroTable,
     eval_J,
+    find_zeros,
     fourier_coefficients,
     fused_product_ratio,
     identity_residual,
@@ -23,6 +29,7 @@ from bigqbessel import (
     q_derivative_inv,
     q_integral,
     reconstruct,
+    sampling_kernel,
     weight,
 )
 from bigqbessel.errors import (
@@ -116,10 +123,16 @@ INVALID_AT_THE_EDGE = {
     ),
     "weight(x=nan)": lambda: weight(QContext(0.5), 0.0, NAN),
     "weight(x=-1)": lambda: weight(QContext(0.5), 0.0, -1.0),
+    "weight(x=0, tol='abc')": lambda: weight(QContext(0.5), 0.0, 0.0, "abc"),
     "q_integral(tol=nan)": lambda: q_integral(lambda x: x, 1, 0.5, tol=NAN),
     "q_integral(tol=0)": lambda: q_integral(lambda x: x, 1, 0.5, tol=0.0),
     "eval_J(terms_max=0)": (
         lambda: eval_J(QContext(0.5), 0.0, 1.0, 0.5, terms_max=0)
+    ),
+    "eval_J(tol=inf)": lambda: eval_J(QContext(0.5), 0.0, 1.0, 0.5, math.inf),
+    "find_zeros(rho=-1)": lambda: find_zeros(QContext(0.5), 0.0, 2, rho=-1.0),
+    "sampling_kernel(k=1.5)": (
+        lambda: sampling_kernel(QContext(0.5), 0.0, NO_ZEROS, 1.5, 0.7)
     ),
     "fourier_coefficients(no zeros)": (
         lambda: fourier_coefficients(QContext(0.5), 0.0, SIGNAL, NO_ZEROS)
@@ -142,6 +155,7 @@ def test_invalid_argument_is_typed_and_immediate(call):
 INVALID_AT_CONSTRUCTION = {
     "QContext(q=1.5)": lambda: QContext(1.5),
     "QContext(q=0)": lambda: QContext(0.0),
+    "QContext(q='0.5')": lambda: QContext("0.5"),
     "SeriesValue(abs_error<0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(-1), 1),
     "SeriesValue(terms_used=0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(0), 0),
     "QLatticeSignal(empty)": lambda: QLatticeSignal([]),
@@ -151,6 +165,7 @@ INVALID_AT_CONSTRUCTION = {
     "QLatticeSignal(value=-inf)": (
         lambda: QLatticeSignal([mp.mpf("-inf")])
     ),
+    "QLatticeSignal(value=1j)": lambda: QLatticeSignal([1j, 0.5]),
     "ZeroTable(lengths)": lambda: ZeroTable(0.5, 0.0, [1.0], [], []),
     "ZeroTable(order)": (
         lambda: ZeroTable(0.5, 0.0, [2.0, 1.0], [1, 1], [0, 0])
@@ -162,6 +177,9 @@ INVALID_AT_CONSTRUCTION = {
     "ZeroTable(deriv=nan)": lambda: ZeroTable(0.5, 0.0, [1.0], [NAN], [0.0]),
     "ZeroTable(residual=nan)": (
         lambda: ZeroTable(0.5, 0.0, [1.0], [1.0], [mp.mpf("nan")])
+    ),
+    "ZeroTable(zero=Fraction)": (
+        lambda: ZeroTable(0.5, 0.0, [Fraction(1, 3)], [1.0], [0.0])
     ),
     "ReconstructionReport(lengths)": (
         lambda: ReconstructionReport([1.0], [], [], mp.mpf(0), 1)
@@ -179,3 +197,142 @@ def test_invalid_value_is_typed_at_construction(call):
     # error, which is still a ValueError
     with pytest.raises(InvalidArgument):
         call()
+
+
+# One valid call of every public function and of every dataclass that takes
+# a caller's numbers, by keyword.  The gate test below replaces one numeric
+# argument at a time (with the defaults applied, so tol, terms_max and
+# max_steps count too): a number, an entry of a list of numbers, or the
+# value that a callable f returns.
+CTX = QContext(0.5)
+TABLE = ZeroTable(0.5, 0.0, [1.0], [1.0], [0.0])
+
+
+def _identity(t):
+    return t
+
+
+VALID_CALLS = {
+    "QContext": dict(q=0.5),
+    "SeriesValue": dict(value=mp.mpf(1), abs_error=mp.mpf(0), terms_used=1),
+    "q_derivative": dict(f=_identity, x=0.7, q=0.5),
+    "q_derivative_inv": dict(f=_identity, x=0.7, q=0.5),
+    "q_integral": dict(f=_identity, a=1.0, q=0.5),
+    "fused_product_ratio": dict(x2=2.0, e_num=2, e_den=4, q=0.5),
+    "eval_J": dict(ctx=CTX, alpha=0.0, x=0.7, z=3.3),
+    "eval_dJ_dz": dict(ctx=CTX, alpha=0.0, x=0.7, z=3.3),
+    "eval_big_cos": dict(ctx=CTX, x=0.7, z=3.3),
+    "eval_big_sin": dict(ctx=CTX, x=0.7, z=3.3),
+    "recurrence_alpha_step": dict(
+        ctx=CTX, alpha=1.0, x=0.7, z=3.3, J_prev=0.5, J_curr=0.25
+    ),
+    "recurrence_shifted": dict(
+        ctx=CTX, alpha=1.0, x=0.7, z=3.3, J_prev=0.5, J_curr=0.25
+    ),
+    "apply_L": dict(ctx=CTX, alpha=0.0, f=_identity, x=0.7),
+    "identity_residual": dict(
+        ctx=CTX, kind="dq-order-raise", alpha=0.5, x=0.7, z=3.3
+    ),
+    "ZeroTable": dict(
+        q=0.5, alpha=0.0, zeros=[1.0], derivs=[1.0], residuals=[0.0]
+    ),
+    "find_zeros": dict(ctx=CTX, alpha=0.0, count=3, rho=2.0),
+    "refine_zero": dict(ctx=CTX, alpha=0.0, z_lo=1.0, z_hi=2.0),
+    "QLatticeSignal": dict(values=[1.0, 0.5], a=1.0),
+    "weight": dict(ctx=CTX, alpha=0.0, x=0.7),
+    "inner_product": dict(ctx=CTX, alpha=0.0, f=SIGNAL, g=SIGNAL),
+    "lommel_integral_direct": dict(
+        ctx=CTX, alpha=0.0, a=1.0, lam=0.7, mu=3.3
+    ),
+    "lommel_rhs_closed": dict(ctx=CTX, alpha=0.0, a=1.0, lam=0.7, mu=3.3),
+    "norm_sq_closed": dict(ctx=CTX, alpha=0.0, zero=1.0, deriv=1.0),
+    "gram_matrix": dict(ctx=CTX, alpha=0.0, table=TABLE),
+    "fourier_coefficients": dict(ctx=CTX, alpha=0.0, f=SIGNAL, table=TABLE),
+    "fourier_partial_sum": dict(
+        ctx=CTX, alpha=0.0, coeffs=[1.0], table=TABLE, x=0.7
+    ),
+    "q_hankel_transform": dict(ctx=CTX, alpha=0.0, f=SIGNAL, lam=0.7),
+    "sampling_kernel": dict(ctx=CTX, alpha=0.0, table=TABLE, k=0, lam=0.7),
+    "reconstruct": dict(
+        ctx=CTX, alpha=0.0, f=SIGNAL, table=TABLE, lambdas=[0.7]
+    ),
+    "closed_sum_check": dict(ctx=CTX, alpha=0.0, table=TABLE, lam=0.7),
+}
+
+# public records that only the library builds, from checked arguments
+RESULTS = {"GramReport", "ReconstructionReport", "ClosedSumResult"}
+
+BAD_VALUES = ["abc", 1j, Fraction(1, 3), math.nan]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float, mp.mpf))
+
+
+def _numeric_arguments():
+    """(entry, parameter, replace) for every numeric argument of the valid
+    calls, where replace(bad) is the argument with bad put in."""
+    cases = []
+    for name, kwargs in VALID_CALLS.items():
+        bound = inspect.signature(getattr(bigqbessel, name)).bind(**kwargs)
+        bound.apply_defaults()
+        for param, v in bound.arguments.items():
+            if _is_number(v):
+                replace = lambda bad: bad
+            elif isinstance(v, list) and v and _is_number(v[0]):
+                replace = lambda bad, v=v: [bad, *v[1:]]
+            elif inspect.isfunction(v):
+                replace = lambda bad: lambda t: bad
+            else:
+                continue
+            cases.append((name, param, bound.arguments, replace))
+    return cases
+
+
+NUMERIC_ARGUMENTS = _numeric_arguments()
+
+
+def test_every_public_entry_has_a_valid_call():
+    public = {
+        name for name in bigqbessel.__all__
+        if callable(getattr(bigqbessel, name))
+    }
+    assert public == set(VALID_CALLS) | RESULTS
+
+
+@pytest.mark.parametrize(
+    "name,param,arguments,replace",
+    NUMERIC_ARGUMENTS,
+    ids=[f"{n}({p})" for n, p, _, _ in NUMERIC_ARGUMENTS],
+)
+def test_a_bad_number_is_refused_by_name(name, param, arguments, replace):
+    # a wrong type or a value that is not finite raises InvalidArgument,
+    # which names the argument, before any work is done
+    for bad in BAD_VALUES:
+        args = {**arguments, param: replace(bad)}
+        with pytest.raises(InvalidArgument) as info:
+            getattr(bigqbessel, name)(**args)
+        assert re.match(rf"{param}\b", str(info.value)), (bad, info.value)
+
+
+FOREIGN = ["0.7", 0.7j, Fraction(7, 10), np.int64(1), np.float32(0.7),
+           mp.mpi(0.5, 1), None]
+
+
+@pytest.mark.parametrize("x", FOREIGN, ids=[type(v).__name__ for v in FOREIGN])
+def test_foreign_types_are_refused(x):
+    with pytest.raises(InvalidArgument, match=r"^x must be an int, a float"):
+        eval_J(CTX, 0.0, x, 3.3)
+
+
+@pytest.mark.parametrize("x", [1, 1.0, np.float64(1.0), mp.mpf(1)])
+def test_ints_floats_and_mpfs_enter_exactly(x):
+    # numpy.float64 is a float; every accepted type of x gives the same
+    # bits, also below 53 bits, where a conversion at the caller's
+    # precision would round the float z = 0.7
+    want = eval_J(CTX, 0.0, 1.0, 0.7, 1e-20)
+    with mp.workprec(30):
+        got = eval_J(CTX, 0.0, x, 0.7, 1e-20)
+    assert (got.value._mpf_, got.abs_error._mpf_) == (
+        want.value._mpf_, want.abs_error._mpf_
+    )
