@@ -59,6 +59,7 @@ from .qcalc import (
     SeriesValue,
     _arg,
     _integer,
+    _log10_abs,
     _tol,
     _workdigits,
     fused_product_ratio,
@@ -78,15 +79,6 @@ __all__ = [
     "identity_residual",
     "IDENTITY_KINDS",
 ]
-
-
-def _log10_abs(v: mp.mpf) -> float:
-    """log10|v| as a float, also for v beyond the double range; -inf at
-    v = 0."""
-    f = abs(float(v))
-    if 0 < f < math.inf:
-        return math.log10(f)
-    return float(mp.log10(abs(v))) if v else -math.inf
 
 
 # The memo of _Factors (_factors) holds the _FACTOR_SLOTS keys used last;

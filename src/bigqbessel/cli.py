@@ -19,7 +19,7 @@ import mpmath as mp
 from . import _jsonio
 from .bqbessel import eval_J, identity_residual
 from .defaults import DEFAULT_TOL, Q_MAX, RESIDUAL_TOL, TERMS_MAX
-from .errors import BigQBesselError, MalformedInput
+from .errors import BigQBesselError, InvalidOrder, MalformedInput
 from .orthogonality import (
     QLatticeSignal,
     fourier_coefficients,
@@ -110,8 +110,8 @@ def _verify_identities(ctx: QContext, alpha, tol, table) -> List[dict]:
 def _verify_orthogonality(ctx: QContext, alpha, tol, table) -> List[dict]:
     entries = []
     for lam, mu in ((0.5, 1.0), (1.0, 3.0)):
-        d = lommel_integral_direct(ctx, alpha, 1.0, lam, mu, tol).value
-        c = lommel_rhs_closed(ctx, alpha, 1.0, lam, mu, tol).value
+        d = lommel_integral_direct(ctx, alpha, lam, mu, tol).value
+        c = lommel_rhs_closed(ctx, alpha, lam, mu, tol).value
         rel = abs(d - c) / max(1, abs(c))
         entries.append(
             {
@@ -156,7 +156,7 @@ def _verify_sampling(ctx: QContext, alpha, tol, table) -> List[dict]:
     # the signal and both sides at the transform's working precision
     with mp.workdps(_workdigits(tol)):
         q, am, lm = _arg("q", ctx.q), _arg("alpha", alpha), _arg("lam", lam)
-        delta = QLatticeSignal(values=[1 / (1 - q)], a=1.0)
+        delta = QLatticeSignal(values=[1 / (1 - q)])
         got = q_hankel_transform(ctx, alpha, delta, lam, tol).value
         want = (
             weight(ctx, alpha, 1, tol)
@@ -170,7 +170,7 @@ def _verify_sampling(ctx: QContext, alpha, tol, table) -> List[dict]:
             "residual": residual,
         }
     )
-    sig = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    sig = QLatticeSignal(values=[1.0, -0.5, 0.25])
     rep = reconstruct(ctx, alpha, sig, table.head(8), [0.3, 0.9], tol)
     entries.append(
         {
@@ -277,14 +277,14 @@ def _numbered(rows) -> List[list]:
 @dataclass(frozen=True)
 class _Command:
     """A subcommand.  `options` adds its options to the shared
-    --q/--alpha/--tol/--format; --alpha must exceed `alpha_floor`;
-    `run(ctx, params)` returns the JSON document; `csv(document)` returns
-    the CSV (header, rows), and is None for a command that writes JSON
-    only; the command exits 1 when `failed(document)`."""
+    --q/--alpha/--tol/--format; `run(ctx, params)` returns the JSON
+    document, and the library functions it calls refuse an --alpha out of
+    their range; `csv(document)` returns the CSV (header, rows), and is
+    None for a command that writes JSON only; the command exits 1 when
+    `failed(document)`."""
 
     help: str
     options: Callable[[argparse.ArgumentParser], None]
-    alpha_floor: float
     run: Callable[[QContext, dict], dict]
     csv: Optional[Callable[[dict], tuple]] = None
     failed: Callable[[dict], bool] = lambda doc: False
@@ -294,14 +294,12 @@ _COMMANDS = {
     "eval": _Command(
         "evaluate J_alpha(x, lambda; q^2)",
         _eval_options,
-        -1.0,
         _eval,
         csv=lambda d: (list(d), [list(d.values())]),
     ),
     "zeros": _Command(
         "table of positive zeros",
         lambda sp: sp.add_argument("--count", type=int, required=True),
-        -0.5,
         lambda ctx, p: find_zeros(ctx, p["alpha"], p["count"], tol=p["tol"]).to_dict(),
         csv=lambda d: (
             ["index", "zero", "deriv", "residual"],
@@ -311,21 +309,18 @@ _COMMANDS = {
     "gram": _Command(
         "Gram matrix of the zero family",
         _table_options,
-        -0.5,
         _gram,
         csv=lambda d: (["", *range(1, len(d["matrix"]) + 1)], _numbered(d["matrix"])),
     ),
     "fourier": _Command(
         "expansion coefficients of a signal",
         _signal_options,
-        -0.5,
         _fourier,
         csv=lambda d: (["index", "coefficient"], _numbered(zip(d["coefficients"]))),
     ),
     "sample": _Command(
         "sampling reconstruction report",
         _sample_options,
-        -1.5,
         _sample,
         csv=lambda d: (
             ["lambda", "direct", "reconstructed"],
@@ -335,7 +330,6 @@ _COMMANDS = {
     "verify": _Command(
         "run a verification suite",
         lambda sp: sp.add_argument("--suite", choices=(*_SUITES, "all"), default="all"),
-        -1.0,
         _verify,
         failed=lambda d: not d["pass"],
     ),
@@ -363,7 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     """Run the command in argv (default sys.argv[1:]), write its document
     to stdout and return the exit code: 0 ok, 1 verification failure, 3
-    numeric or IO failure.  A usage error exits with code 2."""
+    numeric or IO failure.  A usage error exits with code 2, and so does an
+    --alpha that the command's library functions refuse (InvalidOrder): a
+    zero table file must match --alpha, so only --alpha can cause one."""
     parser = _build_parser()
     ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
     for name, v in vars(ns).items():
@@ -375,9 +371,6 @@ def main(argv: List[str] | None = None) -> int:
     if ns.tol <= 0:
         parser.error(f"--tol must be positive; got {ns.tol}")
     cmd = _COMMANDS[ns.command]
-    floor = cmd.alpha_floor
-    if ns.alpha <= floor:
-        parser.error(f"--alpha must exceed {floor} for {ns.command}; got {ns.alpha}")
     if getattr(ns, "count", None) is not None and ns.count < 1:
         parser.error("--count must be >= 1")
     if getattr(ns, "terms_max", 1) < 1:
@@ -388,6 +381,8 @@ def main(argv: List[str] | None = None) -> int:
             out = _jsonio.rows_to_csv(*cmd.csv(doc))
         else:
             out = _jsonio.dumps(doc) + "\n"
+    except InvalidOrder as exc:
+        parser.error(f"--alpha: {exc}")
     except (BigQBesselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

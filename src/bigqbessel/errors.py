@@ -55,9 +55,9 @@ class NoSignChange(BigQBesselError):
 
 # --- orthogonality -------------------------------------------------------
 
-class ScaleMismatch(BigQBesselError):
-    """Two lattice signals (or a signal and an operation) disagree on the
-    lattice scale a."""
+class ScaleMismatch(InvalidArgument):
+    """A lattice signal's scale a is not 1: the zeros and every lattice
+    sum live on the unit lattice {q^m} of [0, 1]."""
 
 
 class NotAZero(BigQBesselError):

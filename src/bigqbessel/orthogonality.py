@@ -1,18 +1,20 @@
 """Weighted L^2_q inner products, the Lommel-type product integral, norm
 closed forms, the Gram matrix of the zero family, and Fourier expansion.
 
-The central identity is the two-sided product-integral evaluation: with
-C = (1-q)(1-q^(2a+2))/q^(2a+2) and W(a) = (-a^2; q^2)_inf / (-a^2 q^(2a+2);
+Everything here lives on the unit lattice {q^m} of [0, 1], where the
+zeros j_k of J_a(1, .; q^2) are (a is the order alpha).  The central
+identity is the two-sided product-integral evaluation: with
+C = (1-q)(1-q^(2a+2))/q^(2a+2) and W(1) = (-1; q^2)_inf / (-q^(2a+2);
 q^2)_inf,
 
-  (lam^2 - mu^2) * Int_0^a w(x) J_{a+1}(x,lam) J_{a+1}(x,mu) d_q x
-      = C * ( W(a) * B(a/q, a; lam, mu) - B(0, 0; lam, mu) ),
+  (lam^2 - mu^2) * Int_0^1 w(x) J_{a+1}(x,lam) J_{a+1}(x,mu) d_q x
+      = C * ( W(1) * B(1/q, 1; lam, mu) - B(0, 0; lam, mu) ),
 
   B(u, v; lam, mu) = J_{a+1}(u,lam) J_a(v,mu) - J_{a+1}(u,mu) J_a(v,lam).
 
 The x -> 0 boundary term B(0,0;...) does not vanish (J_a(0, lam) != 0),
 and it is what breaks the orthogonality of {J_{a+1}(., j_n)}: at a pair of
-zeros lam = j_n, mu = j_m the lattice boundary term at x = a dies but the
+zeros lam = j_n, mu = j_m the lattice boundary term at x = 1 dies but the
 one at x = 0 survives, so the off-diagonal Gram entries are O(1) rather
 than zero.  The closed forms below include the boundary term, which is the
 form that matches the direct q-integral to working precision; the
@@ -20,8 +22,8 @@ boundary-free display is restated in tests/oracles.py, where the tests show
 that it fails.
 
 Every lattice sum here is one weighted Jackson sum,
-(1-q) a sum_m w(a q^m) F(a q^m) G(a q^m) q^m, taken by a _Lattice.  The
-lattices live in a memo keyed by (q, alpha, a, tol) and mpmath's working
+(1-q) sum_m w(q^m) F(q^m) G(q^m) q^m, taken by a _Lattice.  The
+lattices live in a memo keyed by (q, alpha, tol) and mpmath's working
 precision and rounding, compared by value (_lattice; an LRU cache of the
 _LATTICE_SLOTS keys used last), so that calls on one zero table share the
 powers q^m, the weights and the columns J_{alpha+1}(q^m, j_k) of the zero
@@ -76,8 +78,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QLatticeSignal:
-    """A finitely supported function on the geometric lattice {a q^k}:
-    values[k] = f(a q^k) for k = 0..K, zero beyond."""
+    """A finitely supported function on the unit lattice {q^k}:
+    values[k] = f(q^k) for k = 0..K, zero beyond.  The scale a is kept
+    for the file format; any a other than 1 raises ScaleMismatch."""
 
     values: List[float]
     a: float = 1.0
@@ -87,8 +90,11 @@ class QLatticeSignal:
             raise InvalidArgument("signal needs at least one lattice value")
         values = [_arg("values", v) for v in self.values]
         object.__setattr__(self, "values", values)
-        if _arg("a", self.a) <= 0:
-            raise InvalidArgument("lattice scale a must be positive")
+        if _arg("a", self.a) != 1:
+            raise ScaleMismatch(
+                f"the zeros and the transform live on the scale-1 lattice; "
+                f"got a={self.a}"
+            )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -129,21 +135,20 @@ def weight(ctx: QContext, alpha, x, tol: float = DEFAULT_TOL):
 
 
 class _Lattice:
-    """The Jackson lattice a q^m of [0, a] for one (ctx, alpha, a, tol) at
-    one working precision, kept across calls in the memo of _lattice.
+    """The Jackson lattice q^m of [0, 1] for one (ctx, alpha, tol) at one
+    working precision, kept across calls in the memo of _lattice.
 
-    The powers q^m and the weights w(a q^m) are each computed once, when
+    The powers q^m and the weights w(q^m) are each computed once, when
     first needed.  column(z) gives a column for one call; basis(zero) gives
     the zero family's column at z = zero^2 from the _BASIS_SLOTS zeros
     used last, so calls on one zero table share it.
     """
 
-    def __init__(self, ctx: QContext, alpha, a, tol: float) -> None:
+    def __init__(self, ctx: QContext, alpha, tol: float) -> None:
         self.ctx = ctx
         self.alpha = alpha
         self.tol = tol
         self.q = _arg("q", ctx.q)
-        self.a = _arg("a", a)
         self.order = _arg("alpha", alpha) + 1
         self._qpow: List[mp.mpf] = []
         self._weights: Dict[int, mp.mpf] = {}
@@ -154,19 +159,16 @@ class _Lattice:
             self._qpow.append(self.q ** len(self._qpow))
         return self._qpow[m]
 
-    def point(self, m: int) -> mp.mpf:
-        return self.a * self.qpow(m)
-
     def weight(self, m: int) -> mp.mpf:
         if m not in self._weights:
-            self._weights[m] = weight(self.ctx, self.alpha, self.point(m), self.tol)
+            self._weights[m] = weight(self.ctx, self.alpha, self.qpow(m), self.tol)
         return self._weights[m]
 
     def column(self, z) -> "_Column":
         return _Column(self, z)
 
     def basis(self, zero) -> "_Column":
-        """m -> J_{alpha+1}(a q^m, zero^2), the column kept for zero (by
+        """m -> J_{alpha+1}(q^m, zero^2), the column kept for zero (by
         value) while it is among the _BASIS_SLOTS zeros used last."""
         col = self._basis.pop(zero, None)
         if col is None:
@@ -177,7 +179,7 @@ class _Lattice:
         return col
 
     def integral(self, f, g) -> SeriesValue:
-        """(1-q) a sum_m ((w(a q^m) f[m]) g[m]) q^m.
+        """(1-q) sum_m ((w(q^m) f[m]) g[m]) q^m.
 
         f and g are each a signal's value list or a column.  With a signal
         the sum is finite over its support: a term is skipped where f[m] or
@@ -187,7 +189,7 @@ class _Lattice:
         lengths = [len(v) for v in (f, g) if not isinstance(v, _Column)]
         if not lengths:
             return jackson_sum(
-                lambda m: self.weight(m) * f[m] * g[m], self.a, self.q, self.tol
+                lambda m: self.weight(m) * f[m] * g[m], 1, self.q, self.tol
             )
         n = min(lengths)
         s = mp.mpf(0)
@@ -199,14 +201,14 @@ class _Lattice:
             if gv == 0:
                 continue
             s += self.weight(m) * fv * gv * self.qpow(m)
-        val = (1 - self.q) * self.a * s
+        val = (1 - self.q) * s
         # Finite sum: only rounding error remains.
         err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps)
         return SeriesValue(+val, +err, max(n, 1))
 
 
 class _Column:
-    """m -> J_{alpha+1}(a q^m, z) on a lattice, each value evaluated once,
+    """m -> J_{alpha+1}(q^m, z) on a lattice, each value evaluated once,
     at the lattice's working precision.  The values are kept as mpmath's
     raw (sign, mantissa, exponent, bitcount) tuples, a third smaller than
     mpf objects, since the memo keeps thousands of them."""
@@ -223,13 +225,13 @@ class _Column:
         if values[m] is None:
             lat = self._lattice
             values[m] = eval_J(
-                lat.ctx, lat.order, lat.point(m), self._z, lat.tol
+                lat.ctx, lat.order, lat.qpow(m), self._z, lat.tol
             ).value._mpf_
         return mp.make_mpf(values[m])
 
 
-# The memo of lattices (_lattice) holds the _LATTICE_SLOTS keys used last,
-# and each lattice the zero family's columns of the _BASIS_SLOTS zeros used
+# The memo of lattices (_lattice) holds the _LATTICE_SLOTS keys (q, alpha,
+# tol, precision, rounding) used last, and each lattice the zero family's columns of the _BASIS_SLOTS zeros used
 # last (both LRU).  L1 calls per round of the benchmark's lattice workload
 # (seed 1, rounds 1-4; requests on 4-20 zeros of two 20-zero tables, one
 # memo key each) and the memo's size after round 5 (tracemalloc, before and
@@ -255,15 +257,15 @@ _BASIS_SLOTS = 24
 
 
 @functools.lru_cache(maxsize=_LATTICE_SLOTS)
-def _memo(ctx: QContext, alpha, a, tol: float, prec: int, rounding: str):
-    return _Lattice(ctx, alpha, a, tol)
+def _memo(ctx: QContext, alpha, tol: float, prec: int, rounding: str):
+    return _Lattice(ctx, alpha, tol)
 
 
-def _lattice(ctx: QContext, alpha, a, tol: float) -> _Lattice:
-    """The memo entry of (ctx.q, alpha, a, tol) at mpmath's current
-    precision and rounding, the working ones of the caller; every key is
-    compared by value, so alpha = 0, 0.0 and mpf(0) share one entry."""
-    return _memo(ctx, alpha, a, tol, *mp.mp._prec_rounding)
+def _lattice(ctx: QContext, alpha, tol: float) -> _Lattice:
+    """The memo entry of (ctx.q, alpha, tol) at mpmath's current precision
+    and rounding, the working ones of the caller; every key is compared by
+    value, so alpha = 0, 0.0 and mpf(0) share one entry."""
+    return _memo(ctx, alpha, tol, *mp.mp._prec_rounding)
 
 
 def inner_product(
@@ -273,26 +275,23 @@ def inner_product(
     g: QLatticeSignal,
     tol: float = DEFAULT_TOL,
 ) -> SeriesValue:
-    """Weighted q-integral <f, g> over [0, a] of two lattice signals
+    """Weighted q-integral <f, g> over [0, 1] of two lattice signals
     (real-valued; conjugation is the identity)."""
     alpha = _arg("alpha", alpha)
-    if f.a != g.a:
-        raise ScaleMismatch(f"lattice scales differ: {f.a} vs {g.a}")
     with mp.workdps(_workdigits(tol)):
-        return _lattice(ctx, alpha, f.a, tol).integral(f.values, g.values)
+        return _lattice(ctx, alpha, tol).integral(f.values, g.values)
 
 
 def lommel_integral_direct(
-    ctx: QContext, alpha, a, lam, mu, tol: float = DEFAULT_TOL
+    ctx: QContext, alpha, lam, mu, tol: float = DEFAULT_TOL
 ) -> SeriesValue:
     """(lam^2 - mu^2) times the direct weighted q-integral of
-    J_{alpha+1}(x, lam) J_{alpha+1}(x, mu) over [0, a]."""
-    alpha, a = _arg("alpha", alpha), _arg("a", a)
-    lam, mu = _arg("lam", lam), _arg("mu", mu)
+    J_{alpha+1}(x, lam) J_{alpha+1}(x, mu) over [0, 1]."""
+    alpha, lam, mu = _arg("alpha", alpha), _arg("lam", lam), _arg("mu", mu)
     with mp.workdps(_workdigits(tol)):
         if lam * lam == mu * mu:
             return SeriesValue(mp.mpf(0), mp.mpf(0), 1)
-        lat = _lattice(ctx, alpha, a, tol)
+        lat = _lattice(ctx, alpha, tol)
         sv = lat.integral(lat.column(lam * lam), lat.column(mu * mu))
         fac = lam * lam - mu * mu
         return SeriesValue(fac * sv.value, abs(fac) * sv.abs_error, sv.terms_used)
@@ -307,17 +306,16 @@ def _bracket(ctx, alpha, u, v, z_lam, z_mu, tol):
     ).value
 
 
-def _closed_factors(q, am, a2, tol):
-    """C and W(a) of the module docstring at alpha = am and a^2 = a2, at
-    the caller's precision."""
+def _closed_factors(q, am, tol):
+    """C and W(1) of the module docstring at alpha = am, at the caller's
+    precision."""
     C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
-    return C, fused_product_ratio(a2, 0, 2 * am + 2, q, tol)
+    return C, fused_product_ratio(1, 0, 2 * am + 2, q, tol)
 
 
 def lommel_rhs_closed(
     ctx: QContext,
     alpha,
-    a,
     lam,
     mu,
     tol: float = DEFAULT_TOL,
@@ -328,25 +326,22 @@ def lommel_rhs_closed(
     both sides agree (verified against the direct integral to working
     precision).
     """
-    q, am, a = _arg("q", ctx.q), _arg("alpha", alpha), _arg("a", a)
+    q, am = _arg("q", ctx.q), _arg("alpha", alpha)
     lam, mu = _arg("lam", lam), _arg("mu", mu)
     with mp.workdps(_workdigits(tol)):
         z_lam = lam * lam
         z_mu = mu * mu
-        C, W = _closed_factors(q, am, a * a, tol)
-        bq = _bracket(ctx, am, a / q, a, z_lam, z_mu, tol)
+        C, W = _closed_factors(q, am, tol)
+        bq = _bracket(ctx, am, 1 / q, 1, z_lam, z_mu, tol)
         b0 = _bracket(ctx, am, 0, 0, z_lam, z_mu, tol)
         val = C * (W * bq - b0)
         err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps) + tol
         return SeriesValue(+val, +err, 1)
 
 
-def _check_scale(f: QLatticeSignal) -> None:
-    if f.a != 1.0:
-        raise ScaleMismatch(
-            f"the zeros and the transform live on the scale-1 lattice; "
-            f"got a={f.a}"
-        )
+def _check_order(alpha) -> None:
+    if alpha <= -0.5:
+        raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
 
 
 def _check_table(ctx: QContext, alpha, table: ZeroTable) -> None:
@@ -389,7 +384,7 @@ def norm_sq_closed(
                 f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
                 f"{NOT_A_ZERO_TOL}"
             )
-        C, W = _closed_factors(q, am, 1, tol)
+        C, W = _closed_factors(q, am, tol)
         jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
         jp0 = eval_J(ctx, am + 1, 0, z, tol).value
         jm0 = eval_J(ctx, am, 0, z, tol).value
@@ -412,12 +407,11 @@ def gram_matrix(
     symmetric in the two indices).
     """
     alpha = _arg("alpha", alpha)
-    if alpha <= -0.5:
-        raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
+    _check_order(alpha)
     _check_table(ctx, alpha, table)
     n = len(table)
     with mp.workdps(_workdigits(tol)):
-        lat = _lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, alpha, tol)
         cols = [lat.basis(j) for j in table.zeros]
         mat = [[mp.mpf(0)] * n for _ in range(n)]
         for i in range(n):
@@ -446,15 +440,14 @@ def fourier_coefficients(
     tol: float = DEFAULT_TOL,
 ) -> List[mp.mpf]:
     """Expansion coefficients a_k(f) = <f, J_{alpha+1}(., j_k)> / mu_k with
-    mu_k from norm_sq_closed.  f must lie on the unit lattice of the zeros;
-    any other scale raises ScaleMismatch."""
+    mu_k from norm_sq_closed."""
     alpha = _arg("alpha", alpha)
+    _check_order(alpha)
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
-    _check_scale(f)
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
-        lat = _lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, alpha, tol)
         coeffs = []
         for k in range(len(table)):
             ip = lat.integral(f.values, lat.basis(table.zeros[k])).value

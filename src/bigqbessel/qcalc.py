@@ -132,10 +132,19 @@ def _integer(name: str, v, least: int | None = 1) -> int:
     raise InvalidArgument(f"{name} must be an integer{bound}; got {v!r}")
 
 
+def _log10_abs(v) -> float:
+    """log10|v| as a float, also for an mpf v beyond the double range;
+    -inf at v = 0."""
+    f = abs(float(v))
+    if 0 < f < math.inf:
+        return math.log10(f)
+    return float(mp.log10(abs(v))) if v else -math.inf
+
+
 def _workdigits(tol: float) -> int:
     """Working decimal digits of the routines that combine several series
     values at tolerance tol, once _tol accepts it."""
-    return max(30, int(-math.log10(_tol(tol))) + 15)
+    return max(30, int(-_log10_abs(_tol(tol))) + 15)
 
 
 def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
@@ -197,7 +206,7 @@ def sum_series(
     the rounding floor and the result are mpf.  tol and terms_max come
     checked from the public entry (_tol, _integer).
     """
-    digs = max(1.0, -math.log10(tol))
+    digs = max(1.0, -_log10_abs(tol))
     lt = log_term0
     peak = max(0.0, lt)
     k = 0

@@ -30,7 +30,7 @@ import mpmath as mp
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
 from .errors import AtPole, IndexOutOfRange, InvalidArgument, InvalidOrder
-from .orthogonality import QLatticeSignal, _check_scale, _check_table, _lattice
+from .orthogonality import QLatticeSignal, _check_table, _lattice
 from .qcalc import QContext, SeriesValue, _arg, _integer, _workdigits
 from .zerofinder import ZeroTable
 
@@ -44,9 +44,12 @@ __all__ = [
 ]
 
 
-def _check_order(alpha) -> None:
-    if alpha <= -1.5:
-        raise InvalidOrder(f"sampling requires alpha > -3/2; got {alpha}")
+def _check_order(alpha, floor: float = -1.5) -> None:
+    """Refuse alpha <= floor: -3/2 for the transform, which evaluates
+    J_{alpha+1}, and -1 for the kernel, which evaluates J_alpha too.  Warn
+    for alpha <= -1/2, outside the range the analysis was stated for."""
+    if alpha <= floor:
+        raise InvalidOrder(f"sampling requires alpha > {floor}; got {alpha}")
     if alpha <= -0.5:
         warnings.warn(
             "alpha <= -1/2: zero ordering and the underpinning analysis "
@@ -93,9 +96,8 @@ def q_hankel_transform(
     """Finite big q-Hankel transform of a lattice signal at lambda."""
     alpha, lam = _arg("alpha", alpha), _arg("lam", lam)
     _check_order(alpha)
-    _check_scale(f)
     with mp.workdps(_workdigits(tol)):
-        lat = _lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, alpha, tol)
         return lat.integral(f.values, lat.column(lam * lam))
 
 
@@ -124,6 +126,7 @@ def sampling_kernel(
     """
     k = _integer("k", k, None)
     alpha, lam = _arg("alpha", alpha), _arg("lam", lam)
+    _check_order(alpha, -1)
     if not 0 <= k < len(table):
         raise IndexOutOfRange(
             f"kernel index {k} outside table of {len(table)} zeros"
@@ -147,13 +150,12 @@ def reconstruct(
     zeros, compared point-wise against the directly computed transform."""
     alpha = _arg("alpha", alpha)
     lams = [_arg("lambdas", v) for v in lambdas]
-    _check_order(alpha)
+    _check_order(alpha, -1)
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
-    _check_scale(f)
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
-        lat = _lattice(ctx, alpha, 1.0, tol)
+        lat = _lattice(ctx, alpha, tol)
         samples = [lat.integral(f.values, lat.basis(j)).value for j in table.zeros]
         zs = [lam * lam for lam in lams]
         direct = [lat.integral(f.values, lat.column(z)).value for z in zs]
@@ -201,7 +203,7 @@ def closed_sum_check(
         if denom == 0:
             raise AtPole("J_alpha(1, lambda) vanishes at this lambda")
         lhs = eval_J(ctx, am + 1, 1, z, tol).value / (2 * denom)
-        lat = _lattice(ctx, am, 1.0, tol)
+        lat = _lattice(ctx, am, tol)
         s = mp.mpf(0)
         for jk, dk in zip(table.zeros, table.derivs):
             # J_{alpha+1}(1, j_k) is entry m = 0 of the zero's column

@@ -37,10 +37,9 @@ from bigqbessel import (
     fused_product_ratio,
     q_derivative_inv,
 )
-from bigqbessel.bqbessel import _log10_abs
 from bigqbessel.defaults import GUARD_DIGITS, MIN_DPS, TERMS_MAX
 from bigqbessel.errors import DivergentSeries, InvalidArgument
-from bigqbessel.qcalc import SeriesValue, _workdigits
+from bigqbessel.qcalc import SeriesValue, _log10_abs, _workdigits
 
 # --- frozen constants (independent brute-force series, 40-digit run) ----
 

@@ -90,10 +90,10 @@ def test_criterion_2_product_integral():
             for lam in (0.5, 1.0, 3.0):
                 for mu in (0.5, 1.0, 3.0):
                     d = lommel_integral_direct(
-                        ctx, alpha, 1.0, lam, mu, 1e-13
+                        ctx, alpha, lam, mu, 1e-13
                     ).value
                     c = lommel_rhs_closed(
-                        ctx, alpha, 1.0, lam, mu, 1e-13
+                        ctx, alpha, lam, mu, 1e-13
                     ).value
                     worst = max(worst, abs(d - c) / max(1, abs(c)))
     ok = worst < TOL

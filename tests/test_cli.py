@@ -6,6 +6,7 @@ failure).
 
 import hashlib
 import json
+import warnings
 
 import mpmath as mp
 import pytest
@@ -204,6 +205,78 @@ def test_usage_error_alpha_floor(capsys):
     assert exc.value.code == 2
 
 
+def _table_text(alpha) -> str:
+    return json.dumps({"q": 0.5, "alpha": alpha, "zeros": [1.0, 2.0],
+                       "derivs": [-1.0, 1.0], "residuals": [0.0, 0.0]})
+
+
+# Each command with --alpha at the floor of the library function it runs
+# (the floors are exclusive), with --count and with table files.  The
+# floors: eval_J -1, find_zeros -1/2, gram_matrix and fourier_coefficients
+# -1/2, reconstruct -1 (it evaluates J_alpha).
+_SIGNAL = ["--signal", "signal.json"]
+_LAMBDAS = ["--lambdas", "0.3:0.9:2"]
+BELOW_FLOOR = [
+    pytest.param("eval", "-1.0", ["--x", "1", "--z", "0.1"], id="eval"),
+    pytest.param("zeros", "-0.5", ["--count", "2"], id="zeros"),
+    pytest.param("gram", "-0.5", ["--count", "2"], id="gram-count"),
+    pytest.param("gram", "-0.5", ["--zeros", "zeros.json"], id="gram-files"),
+    pytest.param("fourier", "-0.5", [*_SIGNAL, "--count", "2"],
+                 id="fourier-count"),
+    pytest.param("fourier", "-0.5", [*_SIGNAL, "--zeros", "zeros.json"],
+                 id="fourier-files"),
+    pytest.param("sample", "-0.5", [*_SIGNAL, "--count", "2", *_LAMBDAS],
+                 id="sample-count"),
+    pytest.param("sample", "-1.0",
+                 [*_SIGNAL, "--zeros", "zeros.json", *_LAMBDAS],
+                 id="sample-files"),
+    pytest.param("verify", "-1.0", ["--suite", "identities"],
+                 id="verify-identities"),
+    pytest.param("verify", "-0.5", ["--suite", "all"], id="verify-all"),
+]
+
+
+@pytest.mark.parametrize("command, alpha, options", BELOW_FLOOR)
+def test_usage_error_alpha_at_the_library_floor(
+    capsys, tmp_path, command, alpha, options
+):
+    files = {"zeros.json": _table_text(float(alpha)),
+             "signal.json": '{"a": 1.0, "values": [1.0, -0.5]}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    options = [str(tmp_path / o) if o in files else o for o in options]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "0.5", "--alpha", alpha, *options])
+    assert exc.value.code == 2
+    assert "error: --alpha" in capsys.readouterr().err
+
+
+def test_sample_refuses_an_alpha_without_j_alpha_before_any_work(
+    capsys, tmp_path
+):
+    # reconstruct evaluates J_alpha, which needs alpha > -1: a table file
+    # at alpha = -1.2 is refused as a usage error, without the warning for
+    # alpha <= -1/2 and before any transform is summed
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(_table_text(-1.2))
+    sig = tmp_path / "signal.json"
+    sig.write_text('{"a": 1.0, "values": [1.0, -0.5]}')
+    argv = ["sample", "--q", "0.5", "--alpha", "-1.2", "--signal", str(sig),
+            "--zeros", str(zeros), "--lambdas", "[0.7]"]
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    assert rec == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert lines[0].startswith("usage: bigqbessel")
+    assert lines[-1].startswith("bigqbessel: error: --alpha")
+    assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+
+
 def test_usage_error_bad_lambdas(capsys):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -381,6 +454,11 @@ PINNED_CASES = [
 ] + [
     (["verify", "--q", "0.5", "--suite", "identities"], 0,
      "e5914fc866e57b62bceef794f62fe72c6326b0fffaa82069896d579dc94b4d63"),
+    # the one document that runs the Lommel functions, the Gram and norm
+    # path and the sampling suite end to end; at q = 1/2 its Gram
+    # off-diagonal fails the suite, so it exits 1
+    (["verify", "--q", "0.5", "--suite", "all"], 1,
+     "8e0e37dc7fdfa4b1d5d0e7b25af0b4ca5315c14f99c649140ee42bad595c8ad4"),
 ]
 
 

@@ -92,7 +92,7 @@ def _entries():
 def _lattice(q, alpha, tol):
     """The memo entry that the unit-lattice calls at (q, alpha, tol) read."""
     with mp.workdps(_workdigits(tol)):
-        return orthogonality._lattice(QContext(q), alpha, 1.0, tol)
+        return orthogonality._lattice(QContext(q), alpha, tol)
 
 
 def test_alpha_by_value_shares_one_entry(tables):

@@ -20,6 +20,7 @@ import pytest
 from bigqbessel import (
     QContext,
     QLatticeSignal,
+    ZeroTable,
     eval_J,
     find_zeros,
     fourier_coefficients,
@@ -65,15 +66,15 @@ def test_inner_product_delta_signal(ctx05):
 def test_fourier_rejects_off_unit_scale(ctx05, table05):
     # the zeros are those of J_alpha(1, .; q^2): a signal on another
     # lattice is refused for its scale, not blamed on the zeros
-    f = QLatticeSignal(values=[1.0, 0.5], a=0.5)
     with pytest.raises(ScaleMismatch):
+        f = QLatticeSignal(values=[1.0, 0.5], a=0.5)
         fourier_coefficients(ctx05, 0.0, f, table05.head(2))
 
 
 def test_inner_product_scale_mismatch(ctx05):
     f = QLatticeSignal(values=[1.0], a=1.0)
-    g = QLatticeSignal(values=[1.0], a=0.5)
     with pytest.raises(ScaleMismatch):
+        g = QLatticeSignal(values=[1.0], a=0.5)
         inner_product(ctx05, 0.0, f, g)
 
 
@@ -81,15 +82,15 @@ def test_inner_product_scale_mismatch(ctx05):
 def test_product_integral_two_sided(q, alpha):
     ctx = QContext(q)
     for lam, mu in ((0.5, 1.0), (1.0, 3.0), (0.5, 3.0)):
-        d = lommel_integral_direct(ctx, alpha, 1.0, lam, mu, 1e-13).value
-        c = lommel_rhs_closed(ctx, alpha, 1.0, lam, mu, 1e-13).value
+        d = lommel_integral_direct(ctx, alpha, lam, mu, 1e-13).value
+        c = lommel_rhs_closed(ctx, alpha, lam, mu, 1e-13).value
         assert abs(d - c) <= 1e-10 * max(1, abs(c))
 
 
 def test_product_integral_printed_variant_fails(ctx05):
     # the printed right-hand side has the bracket orientation reversed
     # and omits the x -> 0 boundary term; it does not match the integral
-    d = lommel_integral_direct(ctx05, 0.0, 1.0, 0.5, 1.0, 1e-13).value
+    d = lommel_integral_direct(ctx05, 0.0, 0.5, 1.0, 1e-13).value
     p = oracles.lommel_rhs_printed(ctx05, 0.0, 1.0, 0.5, 1.0, 1e-13)
     assert abs(d - p) / max(1, abs(p)) > 1e-2
 
@@ -221,6 +222,16 @@ def test_lattice_sums_match_direct_paths(q, alpha):
 def test_gram_rejects_low_order(ctx05, table05):
     with pytest.raises(InvalidOrder):
         gram_matrix(ctx05, -0.5, table05)
+
+
+def test_fourier_rejects_low_order(ctx05):
+    # the floor of gram_matrix: the coefficients divide by the norms of
+    # the zero family, which need alpha > -1/2; a table at that alpha
+    # is refused for its order, not for its (q, alpha)
+    table = ZeroTable(0.5, -0.5, [1.0], [1.0], [0.0])
+    f = QLatticeSignal(values=[1.0, -0.5])
+    with pytest.raises(InvalidOrder):
+        fourier_coefficients(ctx05, -0.5, f, table)
 
 
 def test_fourier_coefficients_shape_and_partial_sum(ctx05, table05):

@@ -60,10 +60,10 @@ CALLS = {
     "sampling_kernel": lambda t: sampling_kernel(CTX, 0.0, t, 1, 0.7, 1e-20),
     "closed_sum_check": lambda t: closed_sum_check(CTX, 0.0, t, 0.7, 1e-20),
     "lommel_integral_direct": lambda t: lommel_integral_direct(
-        CTX, 0.0, 1.0, 0.7, 3.3, 1e-20
+        CTX, 0.0, 0.7, 3.3, 1e-20
     ),
     "lommel_rhs_closed": lambda t: lommel_rhs_closed(
-        CTX, 0.0, 1.0, 0.7, 3.3, 1e-20
+        CTX, 0.0, 0.7, 3.3, 1e-20
     ),
     "inner_product": lambda t: inner_product(CTX, 0.0, F, G, 1e-20),
     "norm_sq_closed": lambda t: norm_sq_closed(

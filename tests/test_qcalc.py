@@ -25,6 +25,7 @@ from bigqbessel import (
     fourier_coefficients,
     fused_product_ratio,
     identity_residual,
+    inner_product,
     q_derivative,
     q_derivative_inv,
     q_integral,
@@ -241,10 +242,8 @@ VALID_CALLS = {
     "QLatticeSignal": dict(values=[1.0, 0.5], a=1.0),
     "weight": dict(ctx=CTX, alpha=0.0, x=0.7),
     "inner_product": dict(ctx=CTX, alpha=0.0, f=SIGNAL, g=SIGNAL),
-    "lommel_integral_direct": dict(
-        ctx=CTX, alpha=0.0, a=1.0, lam=0.7, mu=3.3
-    ),
-    "lommel_rhs_closed": dict(ctx=CTX, alpha=0.0, a=1.0, lam=0.7, mu=3.3),
+    "lommel_integral_direct": dict(ctx=CTX, alpha=0.0, lam=0.7, mu=3.3),
+    "lommel_rhs_closed": dict(ctx=CTX, alpha=0.0, lam=0.7, mu=3.3),
     "norm_sq_closed": dict(ctx=CTX, alpha=0.0, zero=1.0, deriv=1.0),
     "gram_matrix": dict(ctx=CTX, alpha=0.0, table=TABLE),
     "fourier_coefficients": dict(ctx=CTX, alpha=0.0, f=SIGNAL, table=TABLE),
@@ -300,6 +299,56 @@ def test_every_public_entry_has_a_valid_call():
     assert public == set(VALID_CALLS) | RESULTS
 
 
+# The parameter names of every public callable, in order.  A parameter
+# that comes or goes is a change of the public API, made here on purpose.
+PUBLIC_PARAMETERS = {
+    "QContext": ("q",),
+    "SeriesValue": ("value", "abs_error", "terms_used"),
+    "q_derivative": ("f", "x", "q"),
+    "q_derivative_inv": ("f", "x", "q"),
+    "q_integral": ("f", "a", "q", "tol"),
+    "fused_product_ratio": ("x2", "e_num", "e_den", "q", "tol"),
+    "eval_J": ("ctx", "alpha", "x", "z", "tol", "terms_max"),
+    "eval_dJ_dz": ("ctx", "alpha", "x", "z", "tol"),
+    "eval_big_cos": ("ctx", "x", "z", "tol"),
+    "eval_big_sin": ("ctx", "x", "z", "tol"),
+    "recurrence_alpha_step": ("ctx", "alpha", "x", "z", "J_prev", "J_curr"),
+    "recurrence_shifted": ("ctx", "alpha", "x", "z", "J_prev", "J_curr"),
+    "apply_L": ("ctx", "alpha", "f", "x"),
+    "identity_residual": ("ctx", "kind", "alpha", "x", "z", "tol"),
+    "ZeroTable": ("q", "alpha", "zeros", "derivs", "residuals"),
+    "find_zeros": ("ctx", "alpha", "count", "tol", "rho", "max_steps"),
+    "refine_zero": ("ctx", "alpha", "z_lo", "z_hi", "tol"),
+    "QLatticeSignal": ("values", "a"),
+    "GramReport": ("matrix", "norm_closed", "max_offdiag_rel"),
+    "weight": ("ctx", "alpha", "x", "tol"),
+    "inner_product": ("ctx", "alpha", "f", "g", "tol"),
+    "lommel_integral_direct": ("ctx", "alpha", "lam", "mu", "tol"),
+    "lommel_rhs_closed": ("ctx", "alpha", "lam", "mu", "tol"),
+    "norm_sq_closed": ("ctx", "alpha", "zero", "deriv", "tol"),
+    "gram_matrix": ("ctx", "alpha", "table", "tol"),
+    "fourier_coefficients": ("ctx", "alpha", "f", "table", "tol"),
+    "fourier_partial_sum": ("ctx", "alpha", "coeffs", "table", "x", "tol"),
+    "ReconstructionReport": (
+        "lambdas", "direct", "reconstructed", "max_rel_err", "terms"
+    ),
+    "ClosedSumResult": ("lhs", "rhs_partial", "gap"),
+    "q_hankel_transform": ("ctx", "alpha", "f", "lam", "tol"),
+    "sampling_kernel": ("ctx", "alpha", "table", "k", "lam", "tol"),
+    "reconstruct": ("ctx", "alpha", "f", "table", "lambdas", "tol"),
+    "closed_sum_check": ("ctx", "alpha", "table", "lam", "tol"),
+}
+
+
+def test_public_parameters_are_the_snapshot():
+    got = {
+        name: tuple(inspect.signature(getattr(bigqbessel, name)).parameters)
+        for name in bigqbessel.__all__
+        if callable(getattr(bigqbessel, name))
+    }
+    assert got == PUBLIC_PARAMETERS
+
+
 @pytest.mark.parametrize(
     "name,param,arguments,replace",
     NUMERIC_ARGUMENTS,
@@ -336,3 +385,29 @@ def test_ints_floats_and_mpfs_enter_exactly(x):
     assert (got.value._mpf_, got.abs_error._mpf_) == (
         want.value._mpf_, want.abs_error._mpf_
     )
+
+
+TINY_TOL = mp.mpf("1e-400")  # below the double range: float(tol) is 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_J(CTX, 0.0, 1.0, 2.0, TINY_TOL),
+        lambda: inner_product(CTX, 0.0, SIGNAL, SIGNAL, TINY_TOL),
+        lambda: find_zeros(CTX, 0.0, 2, TINY_TOL),
+        lambda: inner_product(CTX, 0.0, SIGNAL, SIGNAL, mp.mpf("1e400")),
+    ],
+    ids=["eval_J", "inner_product", "find_zeros", "inner_product(1e400)"],
+)
+def test_a_tol_beyond_the_double_range_is_taken(call):
+    # the working digits and the J series' stop rule take log10 tol of
+    # the mpf itself where float(tol) is 0 or inf
+    call()
+
+
+def test_a_tol_below_the_double_range_refines_the_value():
+    fine = eval_J(CTX, 0.0, 1.0, 2.0, TINY_TOL)
+    coarse = eval_J(CTX, 0.0, 1.0, 2.0, 1e-300)
+    assert fine.abs_error < coarse.abs_error
+    assert abs(fine.value - coarse.value) <= coarse.abs_error

@@ -11,6 +11,7 @@ import pytest
 from bigqbessel import (
     QContext,
     QLatticeSignal,
+    ZeroTable,
     closed_sum_check,
     eval_J,
     find_zeros,
@@ -28,6 +29,8 @@ from bigqbessel.errors import (
     InvalidOrder,
     ScaleMismatch,
 )
+
+from bigqbessel import sampling
 
 import oracles
 
@@ -112,6 +115,32 @@ def test_transform_scale_and_order_checks(ctx05):
             ctx05, -0.75, QLatticeSignal(values=[1.0], a=1.0), 1.0
         )
     assert any("alpha" in str(w.message) for w in rec)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1.2])
+@pytest.mark.parametrize("name", ["sampling_kernel", "reconstruct"])
+def test_kernel_refuses_an_alpha_without_j_alpha_at_once(
+    ctx05, monkeypatch, name, alpha
+):
+    # the kernel evaluates J_alpha, which needs alpha > -1: InvalidOrder
+    # comes before the warning for alpha <= -1/2 and before any sum
+    table = ZeroTable(0.5, alpha, [1.0, 2.0], [-1.0, 1.0], [0.0, 0.0])
+    f = QLatticeSignal(values=[1.0, -0.5])
+
+    def no_sums(*args):
+        raise AssertionError("a lattice sum was started")
+
+    monkeypatch.setattr(sampling, "_lattice", no_sums)
+    monkeypatch.setattr(sampling, "eval_J", no_sums)
+    calls = {
+        "sampling_kernel": lambda: sampling_kernel(ctx05, alpha, table, 0, 0.7),
+        "reconstruct": lambda: reconstruct(ctx05, alpha, f, table, [0.7]),
+    }
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidOrder):
+            calls[name]()
+    assert rec == []
 
 
 def test_kernel_delta_property(ctx05, table05, ctx08, table08):
