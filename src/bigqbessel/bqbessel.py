@@ -25,7 +25,8 @@ that sum_series' exact pass sums.  Each factor, and each step of the
 ratio, is the same mpmath operation on the same operands at the same
 precision and rounding as in the ratio written as one mpf expression, so
 every value is bit-identical to that expression's.  alpha, x and z enter
-exactly (qcalc._arg), so the caller's precision does not change a value.
+exactly (qcalc._order, qcalc._arg), so the caller's precision does not
+change a value.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ from mpmath.libmp import (
 )
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
-from .errors import InvalidArgument, InvalidOrder, ZeroSpectralParameter
+from .errors import InvalidArgument, ZeroSpectralParameter
 from .qcalc import (
     QContext,
     SeriesValue,
     _arg,
     _integer,
     _log10_abs,
+    _order,
     _tol,
     _workdigits,
     fused_product_ratio,
@@ -346,10 +348,8 @@ def eval_J(
 ) -> SeriesValue:
     """Evaluate J_alpha(x, lambda; q^2) at z = lambda^2 (z may be negative,
     representing lambda on the imaginary axis)."""
-    alpha, x, z = _arg("alpha", alpha), _arg("x", x), _arg("z", z)
+    alpha, x, z = _order(alpha, -1), _arg("x", x), _arg("z", z)
     tol, terms_max = _tol(tol), _integer("terms_max", terms_max)
-    if alpha <= -1:
-        raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     if z == 0:
         return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
     log_ratio, ratio = _j_ratio(alpha, x, z, ctx.q)
@@ -364,10 +364,8 @@ def eval_dJ_dz(
     The lambda-derivative used by the norm formula and the sampling kernel
     is 2*lambda*eval_dJ_dz.
     """
-    alpha, x, z = _arg("alpha", alpha), _arg("x", x), _arg("z", z)
+    alpha, x, z = _order(alpha, -1), _arg("x", x), _arg("z", z)
     tol = _tol(tol)
-    if alpha <= -1:
-        raise InvalidOrder(f"alpha must exceed -1; got {alpha}")
     # d_k = k c_k z^(k-1), with the loop index n = k - 1: the first term
     # is c_1, i.e. r(0) at z = 1, and d_{k+1}/d_k = (k+1)/k r(k).  At
     # z = 0 every ratio is 0, and the sum is c_1 alone.
@@ -405,13 +403,9 @@ def eval_big_sin(ctx: QContext, x, z, tol: float = DEFAULT_TOL) -> SeriesValue:
 
 def _recurrence_args(ctx: QContext, alpha, x, z):
     """(q, alpha, x, z) as mpf for the recurrences, which need alpha > 0
-    and z != 0."""
-    q, alpha = _arg("q", ctx.q), _arg("alpha", alpha)
+    (so that alpha - 1 > -1) and z != 0."""
+    alpha, q = _order(alpha, 0), _arg("q", ctx.q)
     x, z = _arg("x", x), _arg("z", z)
-    if alpha <= 0:
-        raise InvalidOrder(
-            f"alpha must exceed 0 so that alpha-1 > -1; got {alpha}"
-        )
     if z == 0:
         raise ZeroSpectralParameter("recurrence undefined at z = 0")
     return q, alpha, x, z
@@ -513,8 +507,14 @@ def identity_residual(
                           the paper's display is restated in the
                           test oracles)
     """
-    q, a = _arg("q", ctx.q), _arg("alpha", alpha)
-    xm, zm = _arg("x", x), _arg("z", z)
+    if kind not in IDENTITY_KINDS:
+        raise InvalidArgument(
+            f"unknown identity kind {kind!r}; expected one of "
+            f"{IDENTITY_KINDS}"
+        )
+    # the recurrences evaluate J_{alpha-1}, the other kinds J_alpha
+    a = _order(alpha, 0 if kind.startswith("recurrence") else -1)
+    q, xm, zm = _arg("q", ctx.q), _arg("x", x), _arg("z", z)
     with mp.workdps(_workdigits(tol)):
         if kind == "dq-order-raise":
             lhs = q_derivative(
@@ -569,7 +569,7 @@ def identity_residual(
             rhs = (
                 -zm * q * xm / (1 - q) * eval_big_sin(ctx, xm, zm, tol).value
             )
-        elif kind == "trig-dqinv":
+        else:  # trig-dqinv
             def g(t):
                 return (
                     fused_product_ratio(t * t, 2, 3, q, tol)
@@ -579,9 +579,4 @@ def identity_residual(
             lhs = q_derivative_inv(g, xm, q)
             w = fused_product_ratio(xm * xm, 2, 1, q, tol)
             rhs = xm * q / (1 - q) * w * eval_big_cos(ctx, xm, zm, tol).value
-        else:
-            raise InvalidArgument(
-                f"unknown identity kind {kind!r}; expected one of "
-                f"{IDENTITY_KINDS}"
-            )
         return abs(lhs - rhs) / max(1, abs(rhs))

@@ -220,7 +220,8 @@ def _verify(ctx: QContext, p: dict) -> dict:
 
 
 def _eval(ctx: QContext, p: dict) -> dict:
-    z = p["z"] if p["z"] is not None else p["lam"] ** 2
+    # lambda^2 as an mpf: the square of a float overflows past 1.34e154
+    z = p["z"] if p["z"] is not None else _arg("lambda", p["lam"]) ** 2
     sv = eval_J(ctx, p["alpha"], p["x"], z, p["tol"], p["terms_max"])
     return {"value": sv.value, "abs_error": sv.abs_error, "terms_used": sv.terms_used}
 

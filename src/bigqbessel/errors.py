@@ -32,7 +32,9 @@ class NonPositiveUpperLimit(BigQBesselError):
 # --- bqbessel ------------------------------------------------------------
 
 class InvalidOrder(BigQBesselError):
-    """The order alpha is outside the validity range of the operation."""
+    """The order alpha is at or below the floor of the operation.  Each
+    public entry raises it through qcalc._order before any work, naming
+    alpha as the caller passed it."""
 
 
 class ZeroSpectralParameter(BigQBesselError):

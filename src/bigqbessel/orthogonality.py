@@ -44,17 +44,12 @@ import mpmath as mp
 
 from .bqbessel import eval_dJ_dz, eval_J
 from .defaults import DEFAULT_TOL, NOT_A_ZERO_TOL
-from .errors import (
-    InvalidArgument,
-    InvalidOrder,
-    LengthMismatch,
-    NotAZero,
-    ScaleMismatch,
-)
+from .errors import InvalidArgument, LengthMismatch, NotAZero, ScaleMismatch
 from .qcalc import (
     QContext,
     SeriesValue,
     _arg,
+    _order,
     _tol,
     _workdigits,
     fused_product_ratio,
@@ -104,7 +99,7 @@ class QLatticeSignal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QLatticeSignal":
-        return cls(values=d["values"], a=float(d["a"]))
+        return cls(values=d["values"], a=float(_arg("a", d["a"])))
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,7 @@ def lommel_integral_direct(
 ) -> SeriesValue:
     """(lam^2 - mu^2) times the direct weighted q-integral of
     J_{alpha+1}(x, lam) J_{alpha+1}(x, mu) over [0, 1]."""
-    alpha, lam, mu = _arg("alpha", alpha), _arg("lam", lam), _arg("mu", mu)
+    alpha, lam, mu = _order(alpha, -2), _arg("lam", lam), _arg("mu", mu)
     with mp.workdps(_workdigits(tol)):
         if lam * lam == mu * mu:
             return SeriesValue(mp.mpf(0), mp.mpf(0), 1)
@@ -326,7 +321,7 @@ def lommel_rhs_closed(
     both sides agree (verified against the direct integral to working
     precision).
     """
-    q, am = _arg("q", ctx.q), _arg("alpha", alpha)
+    am, q = _order(alpha, -1), _arg("q", ctx.q)
     lam, mu = _arg("lam", lam), _arg("mu", mu)
     with mp.workdps(_workdigits(tol)):
         z_lam = lam * lam
@@ -337,11 +332,6 @@ def lommel_rhs_closed(
         val = C * (W * bq - b0)
         err = abs(val) * mp.mpf(10) ** (10 - mp.mp.dps) + tol
         return SeriesValue(+val, +err, 1)
-
-
-def _check_order(alpha) -> None:
-    if alpha <= -0.5:
-        raise InvalidOrder(f"Gram analysis requires alpha > -1/2; got {alpha}")
 
 
 def _check_table(ctx: QContext, alpha, table: ZeroTable) -> None:
@@ -372,7 +362,7 @@ def norm_sq_closed(
     where dF(0) denotes the lambda-derivative at x = 0.  A point with
     |J_alpha(1, j_k)| > NOT_A_ZERO_TOL raises NotAZero.
     """
-    q, am = _arg("q", ctx.q), _arg("alpha", alpha)
+    am, q = _order(alpha, -1), _arg("q", ctx.q)
     zero, deriv = _arg("zero", zero), _arg("deriv", deriv)
     with mp.workdps(_workdigits(tol)):
         z = zero * zero
@@ -406,8 +396,7 @@ def gram_matrix(
     Entries are computed for n <= m and mirrored (the integrand is
     symmetric in the two indices).
     """
-    alpha = _arg("alpha", alpha)
-    _check_order(alpha)
+    alpha = _order(alpha, -0.5)  # the zero family's floor
     _check_table(ctx, alpha, table)
     n = len(table)
     with mp.workdps(_workdigits(tol)):
@@ -441,8 +430,7 @@ def fourier_coefficients(
 ) -> List[mp.mpf]:
     """Expansion coefficients a_k(f) = <f, J_{alpha+1}(., j_k)> / mu_k with
     mu_k from norm_sq_closed."""
-    alpha = _arg("alpha", alpha)
-    _check_order(alpha)
+    alpha = _order(alpha, -0.5)  # the zero family's floor
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
     _check_table(ctx, alpha, table)
@@ -465,11 +453,11 @@ def fourier_partial_sum(
     tol: float = DEFAULT_TOL,
 ):
     """Partial sum sum_k a_k J_{alpha+1}(x, j_k; q^2)."""
+    am, x = _order(alpha, -2), _arg("x", x)
     if len(coeffs) != len(table):
         raise LengthMismatch(
             f"{len(coeffs)} coefficients vs {len(table)} zeros"
         )
-    am, x = _arg("alpha", alpha), _arg("x", x)
     coeffs = [_arg("coeffs", c) for c in coeffs]
     _check_table(ctx, am, table)
     with mp.workdps(_workdigits(tol)):

@@ -9,8 +9,11 @@ with the mpmath.libmp functions that mpf arithmetic calls, at the same
 precision and rounding, so every value and every stop decision is the one
 the same loop on mpf objects gives (tests/oracles.py keeps that loop).
 
-Every public entry of L0-L3 converts each number of its caller exactly
-(_arg) and checks a tol with _tol and a count with _integer.
+Every public entry of L0-L3 passes its caller's arguments through four
+gates before any work: _arg converts each number exactly, _order also
+refuses an order alpha at or below the entry's floor, _tol checks a tol
+and _integer a count.  Each raises a typed error that names the argument
+as passed.
 fused_product_ratio, the q-derivatives, q_integral and jackson_sum (so
 orthogonality.weight too) compute at the caller's precision, and their tol
 sets only the truncation; L1-L3 call them inside their working precision.
@@ -43,6 +46,7 @@ from .defaults import DEFAULT_TOL, GUARD_DIGITS, MIN_DPS, TERMS_MAX
 from .errors import (
     DivergentSeries,
     InvalidArgument,
+    InvalidOrder,
     NonPositiveUpperLimit,
     ZeroArgument,
 )
@@ -62,8 +66,8 @@ __all__ = [
 class QContext:
     """The base q in (0, 1).
 
-    Every operation takes the order alpha itself and enforces its own
-    alpha range (e.g. alpha > -1/2 for orthogonality).
+    Every operation takes the order alpha itself and states its own floor
+    through _order (e.g. alpha > -1/2 for orthogonality).
     """
 
     q: float
@@ -97,12 +101,12 @@ def _arg(name: str, v) -> mp.mpf:
     """The caller's number v as an mpf: an int or a float (numpy.float64 is
     one) converted exactly, as mpf.mpf_convert_rhs does, whatever mpmath's
     precision, or an mpf as it is.  Any other type (str, complex, Fraction,
-    numpy.int64, numpy.float32, mpi, None), and a value that is not
+    numpy.int64, numpy.float32, mpi, None, bool), and a value that is not
     finite, raises InvalidArgument naming the argument."""
     if isinstance(v, float):
         if math.isfinite(v):
             return mp.make_mpf(from_float(v))
-    elif isinstance(v, int):
+    elif isinstance(v, int) and not isinstance(v, bool):
         return mp.make_mpf(from_int(v))
     elif isinstance(v, mp.mpf):
         if v._mpf_ not in (fnan, finf, fninf):
@@ -115,6 +119,15 @@ def _arg(name: str, v) -> mp.mpf:
     raise InvalidArgument(f"{name} must be finite; got {v}")
 
 
+def _order(alpha, floor: float) -> mp.mpf:
+    """alpha converted by _arg; InvalidOrder if it is at or below floor,
+    naming alpha as the caller passed it."""
+    am = _arg("alpha", alpha)
+    if am <= floor:
+        raise InvalidOrder(f"alpha must exceed {floor}; got {alpha}")
+    return am
+
+
 def _tol(tol):
     """tol as passed if it is an int, a float or an mpf that is finite and
     > 0 (a NaN fails 0 < tol); else InvalidArgument."""
@@ -124,10 +137,11 @@ def _tol(tol):
 
 
 def _integer(name: str, v, least: int | None = 1) -> int:
-    """v if it is an int of at least `least` (None: any int); else
-    InvalidArgument naming the argument."""
-    if isinstance(v, int) and (least is None or v >= least):
-        return v
+    """v if it is an int, not a bool, of at least `least` (None: any int);
+    else InvalidArgument naming the argument."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        if least is None or v >= least:
+            return v
     bound = "" if least is None else f" >= {least}"
     raise InvalidArgument(f"{name} must be an integer{bound}; got {v!r}")
 

@@ -29,9 +29,9 @@ import mpmath as mp
 
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
-from .errors import AtPole, IndexOutOfRange, InvalidArgument, InvalidOrder
+from .errors import AtPole, IndexOutOfRange, InvalidArgument
 from .orthogonality import QLatticeSignal, _check_table, _lattice
-from .qcalc import QContext, SeriesValue, _arg, _integer, _workdigits
+from .qcalc import QContext, SeriesValue, _arg, _integer, _order, _workdigits
 from .zerofinder import ZeroTable
 
 __all__ = [
@@ -44,12 +44,9 @@ __all__ = [
 ]
 
 
-def _check_order(alpha, floor: float = -1.5) -> None:
-    """Refuse alpha <= floor: -3/2 for the transform, which evaluates
-    J_{alpha+1}, and -1 for the kernel, which evaluates J_alpha too.  Warn
-    for alpha <= -1/2, outside the range the analysis was stated for."""
-    if alpha <= floor:
-        raise InvalidOrder(f"sampling requires alpha > {floor}; got {alpha}")
+def _warn_order(alpha) -> None:
+    """Warn for alpha <= -1/2, outside the range the analysis was stated
+    for."""
     if alpha <= -0.5:
         warnings.warn(
             "alpha <= -1/2: zero ordering and the underpinning analysis "
@@ -94,8 +91,8 @@ def q_hankel_transform(
     tol: float = DEFAULT_TOL,
 ) -> SeriesValue:
     """Finite big q-Hankel transform of a lattice signal at lambda."""
-    alpha, lam = _arg("alpha", alpha), _arg("lam", lam)
-    _check_order(alpha)
+    alpha, lam = _order(alpha, -1.5), _arg("lam", lam)
+    _warn_order(alpha)
     with mp.workdps(_workdigits(tol)):
         lat = _lattice(ctx, alpha, tol)
         return lat.integral(f.values, lat.column(lam * lam))
@@ -124,9 +121,9 @@ def sampling_kernel(
     equals 1 at lambda = j_k (hard switch; the kernel is smooth on that
     scale).
     """
+    alpha, lam = _order(alpha, -1), _arg("lam", lam)
     k = _integer("k", k, None)
-    alpha, lam = _arg("alpha", alpha), _arg("lam", lam)
-    _check_order(alpha, -1)
+    _warn_order(alpha)
     if not 0 <= k < len(table):
         raise IndexOutOfRange(
             f"kernel index {k} outside table of {len(table)} zeros"
@@ -148,9 +145,9 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Sampling reconstruction of the transform of f from its values at the
     zeros, compared point-wise against the directly computed transform."""
-    alpha = _arg("alpha", alpha)
+    alpha = _order(alpha, -1)
     lams = [_arg("lambdas", v) for v in lambdas]
-    _check_order(alpha, -1)
+    _warn_order(alpha)
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")
     _check_table(ctx, alpha, table)
@@ -190,7 +187,7 @@ def closed_sum_check(
     inconsistent dimensionally in lambda; the form above is the one the
     reconstruction theorem actually produces.)
     """
-    am, lam = _arg("alpha", alpha), _arg("lam", lam)
+    am, lam = _order(alpha, -1), _arg("lam", lam)
     _check_table(ctx, am, table)
     with mp.workdps(_workdigits(tol)):
         z = lam * lam

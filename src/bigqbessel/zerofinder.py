@@ -38,13 +38,8 @@ from .defaults import (
     Z_START,
 )
 from .bqbessel import _j_sign, eval_dJ_dz, eval_J
-from .errors import (
-    BracketingFailure,
-    InvalidArgument,
-    InvalidOrder,
-    NoSignChange,
-)
-from .qcalc import QContext, _arg, _integer, _tol
+from .errors import BracketingFailure, InvalidArgument, NoSignChange
+from .qcalc import QContext, _arg, _integer, _order, _tol
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
 
@@ -95,7 +90,7 @@ class ZeroTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZeroTable":
-        q, alpha = float(d["q"]), float(d["alpha"])
+        q, alpha = (float(_arg(name, d[name])) for name in ("q", "alpha"))
         return cls(q, alpha, d["zeros"], d["derivs"], d["residuals"])
 
 
@@ -122,7 +117,7 @@ def refine_zero(
     (falling back to bisection when it escapes), so the sign change is
     preserved throughout.
     """
-    alpha = _arg("alpha", alpha)
+    alpha = _order(alpha, -1)
     z_lo, z_hi = _arg("z_lo", z_lo), _arg("z_hi", z_hi)
     eval_tol = _eval_tol(tol)
     g_lo = _g(ctx, alpha, z_lo, eval_tol)
@@ -208,11 +203,7 @@ def find_zeros(
     (> 1) is given; a zero whose |dJ/dlambda| is below SIMPLICITY_FLOOR is not
     accepted as simple.
     """
-    am = _arg("alpha", alpha)
-    if am <= -0.5:
-        raise InvalidOrder(
-            f"zero ordering requires alpha > -1/2; got {alpha}"
-        )
+    am = _order(alpha, -0.5)  # the zero ordering needs alpha > -1/2
     count = _integer("count", count)
     max_steps = _integer("max_steps", max_steps)
     eval_tol = _eval_tol(tol)

@@ -200,6 +200,14 @@ def test_identity_kind_rejected():
     assert "eigenfunction" in IDENTITY_KINDS
 
 
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+def test_identity_order_floor_follows_the_kind(kind):
+    # the recurrences evaluate J_{alpha-1}, the other kinds J_alpha
+    floor = 0 if kind.startswith("recurrence") else -1
+    with pytest.raises(InvalidOrder, match=f"got {floor}$"):
+        identity_residual(QContext(0.5), kind, floor, 1.0, 0.25)
+
+
 def test_recurrence_steps_match_direct_series():
     ctx = QContext(0.5)
     x, z = mp.mpf(1), mp.mpf("0.25")

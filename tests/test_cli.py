@@ -11,9 +11,9 @@ import warnings
 import mpmath as mp
 import pytest
 
-from bigqbessel import ZeroTable, eval_J, QContext
+from bigqbessel import SeriesValue, ZeroTable, eval_J, QContext
 from bigqbessel.cli import main
-from bigqbessel import _jsonio
+from bigqbessel import _jsonio, cli
 
 
 def run(capsys, argv):
@@ -355,6 +355,23 @@ def test_eval_prints_value_beyond_int_str_limit(capsys):
         assert abs(got / want - 1) < 1e-16
 
 
+def test_eval_squares_lambda_beyond_the_float_range(capsys, monkeypatch):
+    # lambda^2 = 1e320 overflows a float; eval_J gets it as an mpf (from a
+    # stub: J at z = 1e320 takes many seconds to sum)
+    seen = []
+
+    def stub(ctx, alpha, x, z, tol, terms_max):
+        seen.append(z)
+        return SeriesValue(z, mp.mpf(0), 1)
+
+    monkeypatch.setattr(cli, "eval_J", stub)
+    code, _, err = run(
+        capsys, ["eval", "--q", "0.5", "--x", "1", "--lambda", "1e160"]
+    )
+    assert (code, err) == (0, "")
+    assert seen == [mp.mpf(1e160) ** 2]
+
+
 def test_usage_error_terms_max_below_one(capsys):
     for n in ("0", "-5"):
         with pytest.raises(SystemExit) as exc:
@@ -475,3 +492,37 @@ def test_documents_pinned_byte_for_byte(capsys, tmp_path, argv, want_code, want_
     code, out, _ = run(capsys, argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+@pytest.mark.parametrize(
+    "command, name, text, field",
+    [
+        ("gram", "zeros.json", PINNED_ZEROS.replace('"q":0.5', '"q":"0.5"'),
+         "q"),
+        ("gram", "zeros.json", PINNED_ZEROS.replace('"alpha":0', '"alpha":true'),
+         "alpha"),
+        ("gram", "zeros.json",
+         PINNED_ZEROS.replace("1.1242533587940896", '"1.1242533587940896"'),
+         "zeros"),
+        ("fourier", "signal.json", '{"a": "1", "values": [1.0, -0.5]}', "a"),
+        ("fourier", "signal.json", '{"a": 1.0, "values": [true, -0.5]}',
+         "values"),
+    ],
+    ids=["table-q-str", "table-alpha-bool", "table-zero-str", "signal-a-str",
+         "signal-value-bool"],
+)
+def test_numeric_failure_input_field_of_another_type(
+    capsys, tmp_path, command, name, text, field
+):
+    # a file's numbers pass the gate of the library's own arguments: a
+    # string or a bool is refused, not converted (alpha true is order 1)
+    files = {"zeros.json": PINNED_ZEROS, "signal.json": PINNED_SIGNAL, name: text}
+    for fname, ftext in files.items():
+        (tmp_path / fname).write_text(ftext)
+    argv = [command, "--q", "0.5", "--alpha", "1" if field == "alpha" else "0",
+            "--zeros", str(tmp_path / "zeros.json")]
+    if command == "fourier":
+        argv += ["--signal", str(tmp_path / "signal.json")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert f"InvalidArgument: {field} must be an int, a float or an mpf" in err

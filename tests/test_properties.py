@@ -1,8 +1,12 @@
 """Property-based checks (hypothesis) of the structural invariants:
 q-integral linearity, q-integration by parts, classical-limit rate of the
-q-derivative, series positivity, and the non-increasing term ratio of the
-J series on which its tail bound rests.
+q-derivative, series positivity, the non-increasing term ratio of the
+J series on which its tail bound rests, and the "certified or typed"
+contract of the L1 functions.
 """
+
+import importlib.util
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -10,12 +14,24 @@ from hypothesis import given, settings, strategies as st
 
 from bigqbessel import (
     QContext,
+    eval_big_cos,
+    eval_big_sin,
+    eval_dJ_dz,
     eval_J,
     q_derivative,
     q_derivative_inv,
     q_integral,
 )
 from bigqbessel.bqbessel import _j_ratio
+from bigqbessel.errors import BigQBesselError
+
+# The benchmark's reference series, which sums J from its product form
+# with nothing of the library, loaded from its file (it is not a package).
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).parents[1] / "perfbench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 COMMON = dict(deadline=None, max_examples=25)
 
@@ -137,3 +153,50 @@ def test_j_ratio_does_not_increase(q, alpha, x, z, dps):
         led = [abs(mp.make_mpf(ratio(k, True))) for k in range(1, 61)]
     for r in (plain, led):
         assert all(b <= a for a, b in zip(r, r[1:]))
+
+
+# name: (the call, the order of the J it sums (None: the drawn alpha),
+# whether it is dJ/dz, and whether its value is that J over 1 - q)
+L1 = {
+    "eval_J": (eval_J, None, False, False),
+    "eval_dJ_dz": (eval_dJ_dz, None, True, False),
+    "eval_big_cos": (lambda ctx, alpha, *a: eval_big_cos(ctx, *a), -0.5,
+                     False, False),
+    "eval_big_sin": (lambda ctx, alpha, *a: eval_big_sin(ctx, *a), 0.5,
+                     False, True),
+}
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(L1)),
+    q=st.floats(min_value=0.3, max_value=0.95),
+    alpha=st.floats(min_value=-1, max_value=2, exclude_min=True),
+    x=st.floats(min_value=0, max_value=2),
+    z=_signed_power(-3, 3),
+    tol=st.floats(min_value=-40, max_value=-6).map(lambda e: 10.0**e),
+    prec=st.integers(min_value=30, max_value=200),
+    rounding=st.sampled_from("nfcdu"),
+)
+def test_l1_is_certified_or_typed(name, q, alpha, x, z, tol, prec, rounding):
+    # at any caller precision and rounding an L1 call raises the
+    # library's own error or returns a value within abs_error of the
+    # reference series
+    call, order, derivative, over_1mq = L1[name]
+    saved = list(mp.mp._prec_rounding)
+    mp.mp.prec, mp.mp._prec_rounding[1] = prec, rounding
+    try:
+        sv = call(QContext(q), alpha, x, z, tol)
+    except BigQBesselError:
+        return
+    finally:
+        mp.mp.prec, mp.mp._prec_rounding[1] = saved
+    # |value - J/(1-q)| <= abs_error as |value (1-q) - J| <= abs_error (1-q),
+    # in exact arithmetic
+    c = mp.fsub(1, q, exact=True) if over_1mq else mp.mpf(1)
+    bound = mp.fmul(sv.abs_error, c, exact=True)
+    want, _ = reference.series(
+        alpha if order is None else order, x, z, q, bound, derivative
+    )
+    diff = mp.fsub(mp.fmul(sv.value, c, exact=True), want, exact=True)
+    assert -bound <= diff <= bound

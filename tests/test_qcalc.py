@@ -7,6 +7,7 @@ arguments across the library.
 import inspect
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -33,8 +34,11 @@ from bigqbessel import (
     sampling_kernel,
     weight,
 )
+from bigqbessel import bqbessel
 from bigqbessel.errors import (
+    BigQBesselError,
     InvalidArgument,
+    InvalidOrder,
     NonPositiveUpperLimit,
     ZeroArgument,
 )
@@ -131,6 +135,8 @@ INVALID_AT_THE_EDGE = {
         lambda: eval_J(QContext(0.5), 0.0, 1.0, 0.5, terms_max=0)
     ),
     "eval_J(tol=inf)": lambda: eval_J(QContext(0.5), 0.0, 1.0, 0.5, math.inf),
+    "eval_J(alpha=True)": lambda: eval_J(QContext(0.5), True, 1.0, 0.5),
+    "find_zeros(count=True)": lambda: find_zeros(QContext(0.5), 0.0, True),
     "find_zeros(rho=-1)": lambda: find_zeros(QContext(0.5), 0.0, 2, rho=-1.0),
     "sampling_kernel(k=1.5)": (
         lambda: sampling_kernel(QContext(0.5), 0.0, NO_ZEROS, 1.5, 0.7)
@@ -187,6 +193,9 @@ INVALID_AT_CONSTRUCTION = {
     ),
     "identity_residual(kind)": (
         lambda: identity_residual(QContext(0.5), "no-such-kind", 0, 1, 1)
+    ),
+    "identity_residual(kind=3)": (
+        lambda: identity_residual(QContext(0.5), 3, 0, 1, 1)
     ),
 }
 
@@ -362,6 +371,83 @@ def test_a_bad_number_is_refused_by_name(name, param, arguments, replace):
         with pytest.raises(InvalidArgument) as info:
             getattr(bigqbessel, name)(**args)
         assert re.match(rf"{param}\b", str(info.value)), (bad, info.value)
+
+
+# The order floor of every public function that takes alpha: the orders at
+# and below it raise InvalidOrder before any work.  It is at least the
+# floor of every J the function evaluates: J_alpha needs alpha > -1, so
+# J_{alpha+1} alone alpha > -2 and J_{alpha-1} alpha > 0; the zero family
+# needs alpha > -1/2.  None: no J is evaluated, and the weight is defined
+# for every real alpha.
+FLOORS = {
+    "eval_J": -1,
+    "eval_dJ_dz": -1,
+    "recurrence_alpha_step": 0,
+    "recurrence_shifted": 0,
+    "apply_L": None,
+    "identity_residual": -1,  # 0 for the two recurrence kinds
+    "find_zeros": -0.5,
+    "refine_zero": -1,
+    "weight": None,
+    "inner_product": None,
+    "lommel_integral_direct": -2,
+    "lommel_rhs_closed": -1,
+    "norm_sq_closed": -1,
+    "gram_matrix": -0.5,
+    "fourier_coefficients": -0.5,
+    "fourier_partial_sum": -2,
+    "q_hankel_transform": -1.5,
+    "sampling_kernel": -1,
+    "reconstruct": -1,
+    "closed_sum_check": -1,
+}
+
+
+def test_floors_list_every_function_that_takes_an_order():
+    # a ZeroTable is a record, at any alpha; each function that reads one
+    # gates its own alpha
+    takes_alpha = {
+        name for name in bigqbessel.__all__
+        if inspect.isfunction(getattr(bigqbessel, name))
+        and "alpha" in inspect.signature(getattr(bigqbessel, name)).parameters
+    }
+    assert takes_alpha == set(FLOORS)
+
+
+class _Summed(Exception):
+    """A J series was started."""
+
+
+@pytest.mark.parametrize("name", FLOORS)
+def test_an_order_at_the_floor_is_refused_before_any_work(name, monkeypatch):
+    floor = FLOORS[name]
+    sums = []
+
+    def no_sums(*args):
+        sums.append(args)
+        raise _Summed
+
+    monkeypatch.setattr(bqbessel, "sum_series", no_sums)
+    call = getattr(bigqbessel, name)
+    if floor is not None:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidOrder) as info:
+                call(**{**VALID_CALLS[name], "alpha": floor})
+        # alpha as passed, not as converted at some working precision
+        assert str(info.value).endswith(f"got {floor!r}")
+        assert sums == [] and rec == []
+    # a quarter above the floor (far below where there is none) the call
+    # goes on to its work, or to an error that is not about the order
+    above = -10 if floor is None else floor + 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            call(**{**VALID_CALLS[name], "alpha": above})
+        except InvalidOrder:
+            pytest.fail(f"{name} refuses alpha = {above}")
+        except (_Summed, BigQBesselError):
+            pass
 
 
 FOREIGN = ["0.7", 0.7j, Fraction(7, 10), np.int64(1), np.float32(0.7),
