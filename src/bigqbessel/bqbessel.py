@@ -268,25 +268,25 @@ def _j_ratio(alpha, x, z, q):
     return log_ratio, ratio
 
 
-def _j_sign(alpha, z, q) -> int:
-    """The sign of J_alpha(1, sqrt(z); q^2) where a sum in doubles
-    certifies it: +1 or -1 when the double sum S of the terms of _j_ratio
-    at x = 1 exceeds the a-priori bound E on its error (derived below), and
-    0 when it does not, when q, alpha or z is not exactly a finite double,
-    or outside 0 < q < 1, alpha > -1, z > 0."""
+def _j_sum(alpha, z, q) -> tuple[float, float] | None:
+    """(S, E): the sum S in doubles of the terms of _j_ratio at x = 1,
+    which is J_alpha(1, sqrt(z); q^2) within the a-priori bound E
+    (derived below), |J - S| <= E; None when q, alpha or z is not exactly
+    a finite double, outside 0 < q < 1, alpha > -1, z > 0, or where the
+    bound does not hold."""
     qf, af, zf = float(q), float(alpha), float(z)
     for f, v in ((qf, q), (af, alpha), (zf, z)):
         if not math.isfinite(f):
-            return 0
+            return None
         if isinstance(v, float):
             continue
         if isinstance(v, mp.mpf):
             if v._mpf_ != from_float(f):
-                return 0
+                return None
         elif f != v:  # an int, which Python compares with a float exactly
-            return 0
+            return None
     if not (0 < qf < 1 and af > -1 and zf > 0):
-        return 0
+        return None
     # Rounding.  u = 2^-53: each +, -, *, / is within u relative and pow
     # within 1 ulp (2u).  Counting roundings, to first order in u:
     # q2 = q q carries 1; a = q^(2 alpha) q2 = q^(2 alpha + 2) carries 4
@@ -317,7 +317,7 @@ def _j_sign(alpha, z, q) -> int:
     a = qf ** (2 * af) * q2
     c = a * zf
     if not (a < 1 and min(q2, c) >= sys.float_info.min):
-        return 0
+        return None
     k_amp = 1 / (1 - q2) + 1 / (1 - a)
     p = t = s = total = 1.0  # q^(2n), t_n, the sums of t_k and of |t_k|
     for n in range(TERMS_MAX):
@@ -329,13 +329,22 @@ def _j_sign(alpha, z, q) -> int:
         total += abs(t)
         p *= q2
         if not (total < math.inf and p >= sys.float_info.min):
-            return 0
+            return None
     else:
-        return 0
+        return None
     beta = (n + 3) ** 2 * k_amp * u
-    if beta > 0.125 or not abs(s) > 4 * ((beta + n * u) * total + abs(t)):
+    if beta > 0.125:
+        return None
+    return s, 4 * ((beta + n * u) * total + abs(t))
+
+
+def _j_sign(alpha, z, q) -> int:
+    """The sign of J_alpha(1, sqrt(z); q^2) where the double sum certifies
+    it: +1 or -1 when _j_sum gives |S| > E, else 0."""
+    se = _j_sum(alpha, z, q)
+    if se is None or not abs(se[0]) > se[1]:
         return 0
-    return 1 if s > 0 else -1
+    return 1 if se[0] > 0 else -1
 
 
 def eval_J(

@@ -16,18 +16,28 @@ a-priori bound on its error; only where it cannot (near a zero, or where
 the terms cancel too much for doubles) does the scan evaluate J with
 eval_J.  A certified sign is the sign of J, which eval_J's value also has
 wherever |J| exceeds eval_J's error, so the scan builds the brackets that
-evaluating J at every point builds.  refine_zero returns J at its zero,
-from its last Newton step, and find_zeros keeps it as the residual.  The
-scan runs at mpmath's default 53 bits, so a table does not depend on the
-caller's precision.
+evaluating J at every point builds.  The step multipliers
+rho^(i/SUBDIVISIONS) are taken once per table; only the cut of a
+sign-change sub-bracket takes new real powers.
+
+refine_zero reads only the signs of J at the two bracket ends and the
+decade of the larger |J|, which sets its working precision.  Each end's
+value is the same double sum (_certified_end) where its error bound and
+eval_J's certify both, and eval_J's value elsewhere, so the refined bits
+are those of evaluating both ends with eval_J.  refine_zero returns J at
+its zero, from its last Newton step, and find_zeros keeps it as the
+residual.  The scan, and refine_zero's logs, run at mpmath's default 53
+bits, so a table does not depend on the caller's precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+import math
 from typing import List, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_float
 
 from .defaults import (
     RESIDUAL_TOL,
@@ -37,7 +47,7 @@ from .defaults import (
     SUBDIVISIONS,
     Z_START,
 )
-from .bqbessel import _j_sign, eval_dJ_dz, eval_J
+from .bqbessel import _j_sign, _j_sum, eval_dJ_dz, eval_J
 from .errors import BracketingFailure, InvalidArgument, NoSignChange
 from .qcalc import QContext, _arg, _integer, _order, _tol
 
@@ -104,6 +114,49 @@ def _eval_tol(tol) -> float:
     return min(_tol(tol) * 1e-4, 1e-16)
 
 
+# Relative margin of the decade bands of _certified_end: it covers the
+# rounding of refine_zero's log10 at 53 bits (1 ulp of a value below 310,
+# under 7e-14) and of the float band test.
+_DECADE_MARGIN = 1e-9
+
+
+def _certified_end(alpha, z, q) -> mp.mpf | None:
+    """J_alpha(1, sqrt(z); q^2) as the double sum S of bqbessel._j_sum
+    where S certifies all that refine_zero reads of eval_J's value V at a
+    bracket end: its sign (so V != 0) and int(log10(max(|V|, 1))) at 53
+    bits.  Else None; S itself is never 0.
+
+    V lies within E + e of S.  |J - S| <= E (_j_sum).  eval_J at refine's
+    tol (_eval_tol, at most 1e-16) stops at a term with |t_n| <=
+    tol max(1, |V|) and |r(n)| < 1; the later ratios fall by q^2 per term
+    (bqbessel._j_ratio), so the terms after t_n sum to at most
+    |t_n| / (1 - q^2), and its rounding floor adds at most
+    tol 10^(6 - GUARD_DIGITS).  The factor 4
+    of e = 4e-16 (1/(1 - q^2) + 1) max(1, |S| + E) covers
+    max(1, |V|) <= 2 max(1, |S| + E) and the rounding of S, E and e.  S
+    is certified when [|S| - E - e, |S| + E + e] excludes 0 and lies
+    below 1 - delta, where V's decade is 0, or inside one band
+    [10^d (1 + delta), 10^(d+1) (1 - delta)], d >= 0, where it is d;
+    delta = _DECADE_MARGIN."""
+    se = _j_sum(alpha, z, q)
+    if se is None:
+        return None
+    s, err = se
+    qf = float(q)
+    err += 4e-16 * (1 / (1 - qf * qf) + 1) * max(1.0, abs(s) + err)
+    lo, hi = abs(s) - err, abs(s) + err
+    if not lo > 0:
+        return None
+    if not hi < 1 - _DECADE_MARGIN:
+        p = 10.0 ** math.floor(math.log10(lo))
+        if not (
+            p * (1 + _DECADE_MARGIN) <= lo
+            and hi <= 10 * p * (1 - _DECADE_MARGIN)
+        ):
+            return None
+    return mp.make_mpf(from_float(s))
+
+
 def refine_zero(
     ctx: QContext, alpha, z_lo, z_hi, tol: float = RESIDUAL_TOL
 ) -> Tuple[mp.mpf, mp.mpf, mp.mpf]:
@@ -115,24 +168,29 @@ def refine_zero(
     Bisection narrows the bracket to a safe relative width, then Newton in
     z polishes; each Newton iterate is kept inside the current bracket
     (falling back to bisection when it escapes), so the sign change is
-    preserved throughout.
+    preserved throughout.  Of the two end values only their signs and the
+    decade of the larger are read, so each is the double sum where
+    _certified_end certifies both, and eval_J's value elsewhere.
     """
     alpha = _order(alpha, -1)
     z_lo, z_hi = _arg("z_lo", z_lo), _arg("z_hi", z_hi)
     eval_tol = _eval_tol(tol)
-    g_lo = _g(ctx, alpha, z_lo, eval_tol)
-    g_hi = _g(ctx, alpha, z_hi, eval_tol)
+    g_lo = _certified_end(alpha, z_lo, ctx.q) or _g(ctx, alpha, z_lo, eval_tol)
+    g_hi = _certified_end(alpha, z_hi, ctx.q) or _g(ctx, alpha, z_hi, eval_tol)
     # Near large zeros the slope |dg/dz| is huge, so meeting an absolute
     # residual target on |g| requires the iterate itself to carry far more
     # digits than the residual suggests: |g| ~ |g'| dz, so the working
-    # precision must cover log10(function scale / tol) relative to z.
+    # precision must cover log10(function scale / tol) relative to z.  The
+    # logs are taken at 53 bits, as find_zeros runs them, so the caller's
+    # precision does not move a digit.
     gscale = max(abs(g_lo), abs(g_hi), mp.mpf(1))
-    dps = (
-        int(mp.log(gscale, 10))
-        + int(mp.log(max(z_hi, mp.mpf(1)), 10))
-        + int(-mp.log(tol, 10))
-        + 40
-    )
+    with mp.workprec(53):
+        dps = (
+            int(mp.log(gscale, 10))
+            + int(mp.log(max(z_hi, mp.mpf(1)), 10))
+            + int(-mp.log(tol, 10))
+            + 40
+        )
     with mp.workdps(max(30, dps)):
         z_lo = +z_lo
         z_hi = +z_hi
@@ -221,6 +279,9 @@ def find_zeros(
             # (alpha as passed: _j_sign checks a float fastest)
             return _j_sign(alpha, z, ctx.q) or _g(ctx, am, z, eval_tol)
 
+        # the multipliers rho^(i/SUBDIVISIONS) of every step, taken once:
+        # z_lo times them are the points _geometric(z_lo, rho) gives
+        step = _geometric(mp.mpf(1), rho_m)
         z_lo = mp.mpf(Z_START)
         g_lo = sign(z_lo)
         steps = 0
@@ -232,7 +293,7 @@ def find_zeros(
                     "ceiling"
                 )
             z_hi = z_lo * rho_m
-            sub_z = _geometric(z_lo, rho_m)
+            sub_z = [z_lo * m for m in step]
             sub_g = [g_lo] + [sign(z) for z in sub_z[1:]]
             brackets = []
             for i in range(SUBDIVISIONS):

@@ -51,6 +51,12 @@ CALLS = {
     ),
     "find_zeros": lambda t: find_zeros(CTX, 0.0, 3, tol=1e-12),
     "refine_zero": lambda t: refine_zero(CTX, 0.0, 0.9 * Z1, 1.1 * Z1, 1e-12),
+    "refine_zero at tol 1e-9": lambda t: refine_zero(
+        CTX, 0.0, 0.9 * Z1, 1.1 * Z1, 1e-9
+    ),
+    "refine_zero at tol 1e-30": lambda t: refine_zero(
+        CTX, 0.0, 0.9 * Z1, 1.1 * Z1, 1e-30
+    ),
     "q_hankel_transform": lambda t: q_hankel_transform(CTX, 0.0, F, 0.7, 1e-20),
     "reconstruct": lambda t: reconstruct(CTX, 0.0, F, t, [0.7, 3.3], 1e-20),
     "fourier_coefficients": lambda t: fourier_coefficients(

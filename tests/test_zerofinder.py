@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bigqbessel import QContext, ZeroTable, eval_J, find_zeros, refine_zero
 from bigqbessel import zerofinder
 from bigqbessel.bqbessel import _j_sign
+from bigqbessel.defaults import SUBDIVISIONS
 from bigqbessel.errors import (
     BracketingFailure,
     InvalidArgument,
@@ -216,6 +217,116 @@ def test_find_zeros_repeats_no_J_evaluation(monkeypatch):
     table = find_zeros(QContext(0.5), 0.0, 20, tol=1e-12)
     assert len(table) == 20
     assert [a for a, b in zip(calls, calls[1:]) if a == b] == []
+
+
+# eval_J calls of find_zeros at tol 1e-12 when refine_zero evaluated both
+# bracket ends with eval_J: 159 for (0.5, 0, 20), 123 for (0.9, 0.5, 19);
+# and the calls per zero that the double sum must save.  At q = 0.9 its
+# terms cancel more, so its bound certifies fewer ends (now 2.0 and 1.32
+# per zero saved).
+PARENT_EVAL_J_CALLS = {(0.5, 0.0, 20): (159, 1.5), (0.9, 0.5, 19): (123, 1.25)}
+
+
+@pytest.mark.parametrize("params", PARENT_EVAL_J_CALLS)
+def test_refine_takes_bracket_ends_from_the_double_sum(monkeypatch, params):
+    q, alpha, count = params
+    parent_calls, saved_per_zero = PARENT_EVAL_J_CALLS[params]
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eval_J(*args, **kwargs)
+
+    monkeypatch.setattr(zerofinder, "eval_J", counted)
+    table = find_zeros(QContext(q), alpha, count, tol=1e-12)
+    assert len(table) == count
+    assert calls <= parent_calls - saved_per_zero * count
+
+
+@pytest.mark.parametrize("q,alpha,count", [(0.5, 0.0, 20), (0.9, 0.5, 19)])
+def test_scan_takes_its_step_multipliers_once(monkeypatch, q, alpha, count):
+    # the first _geometric call gives the multipliers of every step; each
+    # later one cuts a sub-bracket with a sign change, a sub-step long
+    calls = []
+    geometric = zerofinder._geometric
+
+    def recorded(z, ratio):
+        calls.append((z, ratio))
+        return geometric(z, ratio)
+
+    monkeypatch.setattr(zerofinder, "_geometric", recorded)
+    find_zeros(QContext(q), alpha, count, tol=1e-12)
+    with mp.workprec(53):
+        rho = mp.mpf(q) ** -0.5
+        sub_step = rho ** (mp.mpf(1) / SUBDIVISIONS)
+    assert calls[0] == (1, rho)
+    cuts = calls[1:]
+    assert len(cuts) <= count + SUBDIVISIONS
+    assert len({z for z, _ in cuts}) == len(cuts)
+    for z, ratio in cuts:
+        assert abs(ratio / sub_step - 1) < 1e-12
+        ends = [eval_J(QContext(q), alpha, 1, v, tol=1e-30).value
+                for v in (z, z * ratio)]
+        assert ends[0] * ends[1] < 0
+
+
+def _decade(v):
+    # the decade refine_zero reads of a bracket end's value
+    with mp.workprec(53):
+        return int(mp.log(max(abs(v), 1), 10))
+
+
+def _assert_end_certified(q, alpha, z, tol):
+    g = zerofinder._certified_end(alpha, z, q)
+    if g is not None:
+        ref = eval_J(QContext(q), alpha, 1, z, tol=zerofinder._eval_tol(tol))
+        assert mp.sign(g) == mp.sign(ref.value) != 0, (q, alpha, z)
+        assert _decade(g) == _decade(ref.value), (q, alpha, z, g, ref.value)
+    return g
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    q=st.one_of(
+        st.sampled_from([0.3, 0.5, 0.8, 0.9, 0.99]),
+        st.floats(min_value=0.05, max_value=0.99),
+    ),
+    alpha=st.floats(min_value=-0.99, max_value=3.0),
+    log_z=st.floats(min_value=-3.0, max_value=4.0),
+    tol=st.sampled_from([1e-9, 1e-12, 1e-30]),
+)
+def test_certified_end_has_the_sign_and_decade_of_J(q, alpha, log_z, tol):
+    _assert_end_certified(q, alpha, 10.0**log_z, tol)
+
+
+def _next_to_a_decade(q, alpha, d):
+    """The first double z > 0.1 where |J_alpha(1, sqrt(z); q^2)| reaches
+    10^d, found on a grid and bisected to adjacent doubles at tol 1e-30."""
+    def excess(z):
+        return abs(eval_J(QContext(q), alpha, 1, z, tol=1e-30).value) - 10**d
+
+    zs = [10 ** (-1 + i / 50) for i in range(200)]
+    lo, hi = next((a, b) for a, b in zip(zs, zs[1:])
+                  if excess(a) < 0 < excess(b))
+    while math.nextafter(lo, math.inf) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    return min((lo, hi), key=lambda z: abs(excess(z)))
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+@pytest.mark.parametrize("q,alpha", [(0.5, 0.0), (0.9, 0.5)])
+def test_certified_end_falls_back_next_to_a_decade(q, alpha, d):
+    z = _next_to_a_decade(q, alpha, d)
+    ref = eval_J(QContext(q), alpha, 1, z, tol=1e-30).value
+    assert abs(abs(ref) / 10**d - 1) <= 1e-12
+    assert _j_sign(alpha, z, q) != 0  # the sign alone is certified
+    assert _assert_end_certified(q, alpha, z, 1e-12) is None
+    # a tenth of a decade away the double sum serves
+    for f in (0.8, 1.25):
+        z_in = _next_to_a_decade(q, alpha, d + math.log10(f))
+        assert _assert_end_certified(q, alpha, z_in, 1e-12) is not None
 
 
 def _assert_sign_certified(q, alpha, z):
