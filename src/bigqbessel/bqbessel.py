@@ -21,12 +21,20 @@ q and alpha compared by value, that holds the _FACTOR_SLOTS keys used
 last (an LRU cache).  The memo builds them as mpmath's raw _mpf_ tuples
 through mpmath.libmp, taking log q once per entry for the real powers of
 q, and the ratio combines them with x and z the same way, in the raw form
-that sum_series' exact pass sums.  Each factor, and each step of the
-ratio, is the same mpmath operation on the same operands at the same
+that sum_series' exact pass sums.  Each entry also keeps the x rows
+T_k (x^2 + q^(2k)) (and the lead rows' alike) of the last x^2 it served,
+so a run of calls at one x, such as the zero finder's at x = 1, pays per
+term one product with z and one quotient.  Each factor, and each step of
+the ratio, is the same mpmath operation on the same operands at the same
 precision and rounding as in the ratio written as one mpf expression, so
 every value is bit-identical to that expression's.  alpha, x and z enter
 exactly (qcalc._order, qcalc._arg), so the caller's precision does not
 change a value.
+
+The double-precision parts that depend on neither x nor z, those of the
+float pass of sum_series and those of _j_sum's double sum, live in a
+second small memo keyed by (float q, float alpha) (_float_rows), built
+row by row on demand by the float expressions they replace.
 """
 
 from __future__ import annotations
@@ -115,13 +123,20 @@ class _Factors:
     the expression's bit for bit (tests/oracles.py keeps the expression).
     Only eval_dJ_dz reads L, so only it builds lead rows.
 
+    The x rows of x^2 = x2 (one x2 per entry, the last served) are
+    TX_k = T_k (x^2 + p_k) and LX_k = L_k (x^2 + p_k), the first two steps
+    of _j_ratio's ratio, built on demand by those same two operations.
+
     q^t for a real exponent t is mpmath's mpf_pow(q, t): mpf_pow_int for
     an integer t, a square root for a half-integer one, and otherwise
     exp(t c) with c = log q at 10 guard bits, which does not depend on t.
     The entry takes c once, when it first needs it, instead of once per
     row."""
 
-    __slots__ = ("qm", "prec", "rnd", "log_q", "e0", "A", "T", "p", "D", "L")
+    __slots__ = (
+        "qm", "prec", "rnd", "log_q", "e0", "A", "T", "p", "D", "L",
+        "x2", "TX", "LX",
+    )
 
     def __init__(self, q, alpha):
         self.prec, self.rnd = prec, rnd = mp.mp._prec_rounding
@@ -138,6 +153,7 @@ class _Factors:
         self.T, self.D = [], []
         self.p = [fone]  # q^0
         self.L = [None]  # the lead (k+1)/k starts at k = 1
+        self.x2 = self.TX = self.LX = None
 
     def _pow(self, t: tuple) -> tuple:
         """q^t as mpf_pow(q, t) rounds it, with log q taken once."""
@@ -171,6 +187,29 @@ class _Factors:
         t = mpf_mul(mpf_neg(self.p[k], prec, rnd), lead, prec, rnd)
         self.L.append(mpf_mul(t, self.A, prec, rnd))
 
+    def x_rows(self, x2: tuple) -> tuple[list, list]:
+        """The x rows (TX, LX) of x^2 = x2: the entry keeps those of the
+        last x2 it served and starts new lists for another.  A caller
+        holds on to the lists it got, so they stay those of its x2."""
+        if x2 != self.x2:
+            self.x2, self.TX, self.LX = x2, [], [None]
+        return self.TX, self.LX
+
+    def _extend(self, rows: list, x2: tuple, k: int, led: bool) -> None:
+        """Extend rows, the TX (or with led the LX) of x2, through row k:
+        T_j (x^2 + p_j), or L_j (x^2 + p_j)."""
+        prec, rnd = self.prec, self.rnd
+        while len(self.D) <= k:
+            self._row()
+        if led:
+            while len(self.L) <= k:
+                self._lead_row()
+        base = self.L if led else self.T
+        for j in range(len(rows), k + 1):
+            rows.append(
+                mpf_mul(base[j], mpf_add(x2, self.p[j], prec, rnd), prec, rnd)
+            )
+
 
 @functools.lru_cache(maxsize=_FACTOR_SLOTS)
 def _factors(q, alpha, prec: int, rounding: str) -> _Factors:
@@ -178,6 +217,56 @@ def _factors(q, alpha, prec: int, rounding: str) -> _Factors:
     (the working ones of the caller); q and alpha are keys by value, so
     0.5 and mpf(0.5) share one."""
     return _Factors(q, alpha)
+
+
+class _FloatRows:
+    """The double-precision rows of (float q, float alpha) that depend on
+    neither x nor z, built in order on demand.  For _j_ratio's float pass:
+    lq = log10 q, c = 2 (alpha + 1) lq and per row k G_k =
+    log10(1 - q^(2k+2)) and H_k = log10(1 - q^(2alpha+2+2k)); for _j_sum,
+    once 0 < q < 1 and alpha > -1: q2 = q q, a = q^(2alpha) q2 and per row
+    n P_n = q2^n (the running product P_(n+1) = P_n q2), P1_n = 1 + P_n and
+    QD_n = (1 - P_n q2) (1 - P_n a).  Each row is the float expression that
+    its caller evaluated in place, with the same operands in the same
+    order, so every value is the same double."""
+
+    __slots__ = ("qf", "af", "lq", "c", "G", "H", "q2", "a", "P", "P1", "QD")
+
+    def __init__(self, qf: float, af: float) -> None:
+        self.qf, self.af = qf, af
+        self.lq = math.log10(qf)
+        self.c = 2 * (af + 1) * self.lq
+        self.G, self.H = [], []
+        self.q2 = self.a = None
+        self.P, self.P1, self.QD = [1.0], [], []
+
+    def log_row(self) -> None:
+        """Append G_k and H_k, k = len(G)."""
+        qf, k = self.qf, len(self.G)
+        self.G.append(math.log10(1 - qf ** (2 * k + 2)))
+        self.H.append(math.log10(1 - qf ** (2 * self.af + 2 + 2 * k)))
+
+    def sum_factors(self) -> tuple[float, float]:
+        """(q2, a) of _j_sum, taken the first time it asks."""
+        if self.q2 is None:
+            self.q2 = self.qf * self.qf
+            self.a = self.qf ** (2 * self.af) * self.q2
+        return self.q2, self.a
+
+    def sum_row(self) -> None:
+        """Append P1_n and QD_n, n = len(QD), and P_(n+1)."""
+        p = self.P[-1]
+        self.P1.append(1 + p)
+        self.QD.append((1 - p * self.q2) * (1 - p * self.a))
+        self.P.append(p * self.q2)
+
+
+@functools.lru_cache(maxsize=_FACTOR_SLOTS)
+def _float_rows(qf: float, af: float) -> _FloatRows:
+    """The double-precision rows of (float q, float alpha), in a memo of
+    as many slots as _factors; a key that does not repeat costs only its
+    entry, since rows are built as they are read."""
+    return _FloatRows(qf, af)
 
 
 def _j_ratio(alpha, x, z, q):
@@ -198,13 +287,16 @@ def _j_ratio(alpha, x, z, q):
     D_k = (1 - q^(2k+2)) (1 - q^(2alpha+2+2k)) and, with led, the lead row
     L_k = ((-p_k) ((k+1)/k)) A, which depend on neither x nor z, from the
     memo entry of (q, alpha) at the current precision and rounding
-    (_factors; at most _FACTOR_SLOTS entries), and takes x^2 once per
-    precision.  It returns ((T_k (x^2 + p_k)) z) / D_k, with L_k for T_k
-    under led, each step an mpmath.libmp operation at that precision and
-    rounding: the operations, operands, order and precision of the one mpf
-    expression t A (x^2 + p_k) z / (D1 D2), t = -p_k (times the lead), so
-    every value is bit-identical to that expression's (tests/oracles.py
-    keeps it as the reference).
+    (_factors; at most _FACTOR_SLOTS entries), takes x^2 once per
+    precision, and reads the entry's x row TX_k = T_k (x^2 + p_k) (LX_k
+    with L_k under led) of that x^2.  It returns (TX_k z) / D_k, each step
+    an mpmath.libmp operation at that precision and rounding: the
+    operations, operands, order and precision of the one mpf expression
+    t A (x^2 + p_k) z / (D1 D2), t = -p_k (times the lead), so every value
+    is bit-identical to that expression's (tests/oracles.py keeps it as the
+    reference).  The float pass reads log10 q, 2 (alpha + 1) log10 q,
+    log10(1 - q^(2k+2)) and log10(1 - q^(2alpha+2+2k)) from _float_rows,
+    the doubles it computed in place, added in the same order.
 
     Tail bound.  |r(k+1)| <= q^2 |r(k)| for every real x, every z != 0
     and every alpha > -1, so the terms after t_n sum to at most
@@ -218,52 +310,46 @@ def _j_ratio(alpha, x, z, q):
     each factor after q^2 lies in (0, 1].  The lead (k+1)/k that
     eval_dJ_dz puts on r(k), k >= 1, falls with k, so it keeps the bound.
     """
-    qf = float(q)
-    af = float(alpha)
-    lq = math.log10(qf)
+    rows = _float_rows(float(q), float(alpha))
+    lq, c, G, H = rows.lq, rows.c, rows.G, rows.H
     lx2 = 2 * _log10_abs(x)
     lz = _log10_abs(z)
 
     def log_ratio(k: int, lead: float = 1.0) -> float:
+        while len(G) <= k:
+            rows.log_row()
         lp = 2 * k * lq
         hi, lo = max(lx2, lp), min(lx2, lp)
         return (
             math.log10(lead)
             + lp
-            + 2 * (af + 1) * lq
+            + c
             + hi
             + math.log10(1 + 10 ** (lo - hi))
             + lz
-            - math.log10(1 - qf ** (2 * k + 2))
-            - math.log10(1 - qf ** (2 * af + 2 + 2 * k))
+            - G[k]
+            - H[k]
         )
 
     xm = x._mpf_
     zm = z._mpf_
-    # the precision and rounding, the memo entry and x^2 of the last call
-    prec_rounding, f, x2 = None, None, None
+    # the precision and rounding, the memo entry, x^2 and its x rows of the
+    # last call
+    prec_rounding = f = x2 = TX = LX = None
 
     def ratio(k: int, led: bool = False) -> tuple:
-        nonlocal prec_rounding, f, x2
+        nonlocal prec_rounding, f, x2, TX, LX
         if prec_rounding != mp.mp._prec_rounding:
             # a list that mpmath changes in place: keep a copy
             prec_rounding = list(mp.mp._prec_rounding)
             f = _factors(q, alpha, *prec_rounding)
             x2 = mpf_mul(xm, xm, *prec_rounding)
+            TX, LX = f.x_rows(x2)
         prec, rnd = prec_rounding
-        while len(f.D) <= k:
-            f._row()
-        if led:
-            while len(f.L) <= k:
-                f._lead_row()
-        t = f.L[k] if led else f.T[k]
-        return mpf_div(
-            mpf_mul(mpf_mul(t, mpf_add(x2, f.p[k], prec, rnd), prec, rnd),
-                    zm, prec, rnd),
-            f.D[k],
-            prec,
-            rnd,
-        )
+        rows = LX if led else TX
+        if len(rows) <= k:
+            f._extend(rows, x2, k, led)
+        return mpf_div(mpf_mul(rows[k], zm, prec, rnd), f.D[k], prec, rnd)
 
     return log_ratio, ratio
 
@@ -281,7 +367,10 @@ def _j_sum(alpha, z, q) -> tuple[float, float] | None:
         if isinstance(v, float):
             continue
         if isinstance(v, mp.mpf):
-            if v._mpf_ != from_float(f):
+            # at most 53 bits in the normal range is a double; else compare
+            exp, bc = v._mpf_[2:]
+            normal = bc <= 53 and -1022 <= exp + bc - 1 < 1024
+            if not normal and v._mpf_ != from_float(f):
                 return None
         elif f != v:  # an int, which Python compares with a float exactly
             return None
@@ -312,23 +401,31 @@ def _j_sum(alpha, z, q) -> tuple[float, float] | None:
     # Underflow: q2, c and p are checked to be normal; a product p c below
     # the normal range makes |r| < 2^-1021 K^2 <= u and so ends the loop at
     # that term, where it enters E only.  Overflow gives up through A.
+    # Rows: q2, a and per n P_n = q^(2n) (the running product p above),
+    # 1 + P_n and (1 - P_n q2)(1 - P_n a) come from the memo of
+    # (q, alpha) (_float_rows), which builds each by the float operations
+    # that r(n) applied in place, on the same operands in the same order;
+    # so every r(n), and with it S and E, is the same double.
     u = 2.0**-53
-    q2 = qf * qf
-    a = qf ** (2 * af) * q2
+    rows = _float_rows(qf, af)
+    q2, a = rows.sum_factors()
     c = a * zf
     if not (a < 1 and min(q2, c) >= sys.float_info.min):
         return None
     k_amp = 1 / (1 - q2) + 1 / (1 - a)
-    p = t = s = total = 1.0  # q^(2n), t_n, the sums of t_k and of |t_k|
+    P, P1, QD = rows.P, rows.P1, rows.QD
+    inf, tiny = math.inf, sys.float_info.min
+    t = s = total = 1.0  # t_n, the sums of t_k and of |t_k|
     for n in range(TERMS_MAX):
-        r = -(p * c) * (1 + p) / ((1 - p * q2) * (1 - p * a))
+        if n == len(QD):
+            rows.sum_row()
+        r = -(P[n] * c) * P1[n] / QD[n]
         t *= r
         if abs(r) <= 0.5 and abs(t) <= u * total:
             break
         s += t
         total += abs(t)
-        p *= q2
-        if not (total < math.inf and p >= sys.float_info.min):
+        if not (total < inf and P[n + 1] >= tiny):
             return None
     else:
         return None

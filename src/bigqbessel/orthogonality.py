@@ -362,25 +362,33 @@ def norm_sq_closed(
     where dF(0) denotes the lambda-derivative at x = 0.  A point with
     |J_alpha(1, j_k)| > NOT_A_ZERO_TOL raises NotAZero.
     """
-    am, q = _order(alpha, -1), _arg("q", ctx.q)
+    am = _order(alpha, -1)
     zero, deriv = _arg("zero", zero), _arg("deriv", deriv)
     with mp.workdps(_workdigits(tol)):
-        z = zero * zero
-        resid = abs(eval_J(ctx, am, 1, z, tol).value)
-        if resid > NOT_A_ZERO_TOL:
-            # a is the lattice end, 1 here; perfbench's probe lines
-            # print this message, so its wording stays
-            raise NotAZero(
-                f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
-                f"{NOT_A_ZERO_TOL}"
-            )
-        C, W = _closed_factors(q, am, tol)
-        jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
-        jp0 = eval_J(ctx, am + 1, 0, z, tol).value
-        jm0 = eval_J(ctx, am, 0, z, tol).value
-        djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
-        djp0 = 2 * zero * eval_dJ_dz(ctx, am + 1, 0, z, tol).value
-        return -C / (2 * zero) * (W * jp_aq * deriv - jp0 * djm0 + djp0 * jm0)
+        return _norm_sq(ctx, am, zero, deriv, tol, None)
+
+
+def _norm_sq(ctx: QContext, am, zero, deriv, tol, closed):
+    """norm_sq_closed on checked arguments at its working precision;
+    closed is (C, W(1)) of _closed_factors at that precision where the
+    caller took it once for many zeros, else None."""
+    q = _arg("q", ctx.q)
+    z = zero * zero
+    resid = abs(eval_J(ctx, am, 1, z, tol).value)
+    if resid > NOT_A_ZERO_TOL:
+        # a is the lattice end, 1 here; perfbench's probe lines print this
+        # message, so its wording stays
+        raise NotAZero(
+            f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
+            f"{NOT_A_ZERO_TOL}"
+        )
+    C, W = closed or _closed_factors(q, am, tol)
+    jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
+    jp0 = eval_J(ctx, am + 1, 0, z, tol).value
+    jm0 = eval_J(ctx, am, 0, z, tol).value
+    djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
+    djp0 = 2 * zero * eval_dJ_dz(ctx, am + 1, 0, z, tol).value
+    return -C / (2 * zero) * (W * jp_aq * deriv - jp0 * djm0 + djp0 * jm0)
 
 
 def gram_matrix(
@@ -408,8 +416,9 @@ def gram_matrix(
                 v = lat.integral(cols[i], cols[j]).value
                 mat[i][j] = v
                 mat[j][i] = v
+        closed = _closed_factors(_arg("q", ctx.q), alpha, tol)
         norms = [
-            norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
+            _norm_sq(ctx, alpha, table.zeros[k], table.derivs[k], tol, closed)
             for k in range(n)
         ]
         worst = mp.mpf(0)
@@ -436,10 +445,13 @@ def fourier_coefficients(
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
         lat = _lattice(ctx, alpha, tol)
+        closed = _closed_factors(_arg("q", ctx.q), alpha, tol)
         coeffs = []
         for k in range(len(table)):
             ip = lat.integral(f.values, lat.basis(table.zeros[k])).value
-            mu = norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
+            mu = _norm_sq(
+                ctx, alpha, table.zeros[k], table.derivs[k], tol, closed
+            )
             coeffs.append(ip / mu)
         return coeffs
 

@@ -8,6 +8,9 @@ bqbessel._j_ratio.  Its exact pass works on mpmath's raw _mpf_ tuples
 with the mpmath.libmp functions that mpf arithmetic calls, at the same
 precision and rounding, so every value and every stop decision is the one
 the same loop on mpf objects gives (tests/oracles.py keeps that loop).
+The binary exponents of a term and of the sum decide most stop tests
+without the mpf comparison: where they show |term| > tol*max(1, |S|),
+the mpf test could only say the same.
 
 Every public entry of L0-L3 passes its caller's arguments through four
 gates before any work: _arg converts each number exactly, _order also
@@ -191,6 +194,10 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     return p
 
 
+# Bits by which sum_series' exponent pre-test keeps clear of the stop bound.
+_STOP_MARGIN_BITS = 2
+
+
 def sum_series(
     log_term0: float,
     log_ratio: Callable[[int], float],
@@ -219,6 +226,19 @@ def sum_series(
     values are those of the loop on mpf objects bit for bit.  The tail,
     the rounding floor and the result are mpf.  tol and terms_max come
     checked from the public entry (_tol, _integer).
+
+    Exponent pre-test.  With mag(v) = e + bc for v = m 2^e, m of bc
+    bits, a term t != 0 has |t| >= 2^(mag(t) - 1), and rounding |t| to
+    the working precision keeps that power of 2 as a floor.  The bound
+    tol max(1, |s|) is tol (tol * 1 rounded, no larger than 2^mag(tol))
+    while |s| <= 1, and tol |s| rounded while |s| > 1, where mag(s) >= 1
+    and the product lies below 2^(mag(tol) + mag(s)); rounding keeps
+    that power as a ceiling.  So whenever
+    mag(t) - 1 > mag(tol) + _STOP_MARGIN_BITS + max(0, mag(s)), |t|
+    exceeds the bound and the mpf test would go on to the next term;
+    the loop goes on without it.  Every other term, and t = 0, takes the
+    mpf test, so each stop decision, and with it terms_used, is the mpf
+    loop's.
     """
     digs = max(1.0, -_log10_abs(tol))
     lt = log_term0
@@ -244,6 +264,8 @@ def sum_series(
         # the working precision for an mpf.
         tol_m = mp.mpf.mpf_convert_rhs(tol)
         tol_1 = mp.mpf.mpf_convert_rhs(tol * 1)
+        # the exponent pre-test of the docstring: mag(tol) and its margin
+        mag_tol = tol_m[2] + tol_m[3] + _STOP_MARGIN_BITS
         t = mp_term0()
         s = fzero
         n = 0
@@ -252,6 +274,9 @@ def sum_series(
             r = mp_ratio(n)
             n += 1
             nxt = mpf_mul(t, r, prec, rnd)
+            if t[1] and t[2] + t[3] - 1 > mag_tol + max(0, s[2] + s[3]):
+                t = nxt  # |t| > tol max(1, |s|)
+                continue
             abs_s = mpf_abs(s, prec, rnd)
             bound = (
                 mpf_mul(tol_m, abs_s, prec, rnd)
@@ -309,6 +334,8 @@ def jackson_sum(
     the max over the first 64 lattice points; the estimate is enlarged on
     the fly if later samples exceed it, which keeps the bound honest.  The
     sum is taken at the caller's precision; tol sets only where it stops.
+    q^n is taken once per point n and serves both the tail after point
+    n - 1 and the term of point n.
     The public entry converts a, q and the samples and checks tol.
     """
     if a <= 0:
@@ -317,13 +344,15 @@ def jackson_sum(
     sup = 2 * max(abs(v) for v in head)
     s = mp.mpf(0)
     n = 0
+    qn = q**n  # q^n, taken once per point
     while n < 10 * TERMS_MAX:
         fv = head[n] if n < 64 else sample(n)
         if abs(fv) > sup:
             sup = 2 * abs(fv)
-        s += fv * q**n
+        s += fv * qn
         n += 1
-        tail = a * q**n * sup
+        qn = q**n
+        tail = a * qn * sup
         if tail < tol:
             break
     else:

@@ -14,7 +14,9 @@ it ran on mpf objects before its exact pass moved to raw `_mpf_` tuples:
 summed together they are the reference for the bit-identity of `eval_J`
 and `eval_dJ_dz`, the summation, stop decision, tail and rounding floor
 included.  `factor_rows_expression` keeps the memo's factor rows as the
-mpf expressions that built them before they were built on raw tuples.
+mpf expressions that built them before they were built on raw tuples, and
+`j_sum_loop` the double sum of the zero scan as it ran before it read its
+rows from a memo.
 
 The last section restates four of the paper's displays that turned out
 false (the product-integral closed form, the norm formula, the sampling
@@ -25,9 +27,11 @@ not the evaluation, disagree with the direct computation.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float
 
 from bigqbessel import (
     eval_big_cos,
@@ -354,6 +358,49 @@ def expression_dJ_dz(q, alpha, x, z, tol):
         lambda n: ratio(n + 1, mp.mpf(n + 2) / (n + 1)),
         tol,
     )
+
+
+def j_sum_loop(alpha, z, q):
+    """bqbessel._j_sum as it summed before it read its (q, alpha) rows
+    from a memo: every double of r(n) computed in place, with p = q^(2n)
+    the running product, and an mpf argument compared with from_float."""
+    qf, af, zf = float(q), float(alpha), float(z)
+    for f, v in ((qf, q), (af, alpha), (zf, z)):
+        if not math.isfinite(f):
+            return None
+        if isinstance(v, float):
+            continue
+        if isinstance(v, mp.mpf):
+            if v._mpf_ != from_float(f):
+                return None
+        elif f != v:
+            return None
+    if not (0 < qf < 1 and af > -1 and zf > 0):
+        return None
+    u = 2.0**-53
+    q2 = qf * qf
+    a = qf ** (2 * af) * q2
+    c = a * zf
+    if not (a < 1 and min(q2, c) >= sys.float_info.min):
+        return None
+    k_amp = 1 / (1 - q2) + 1 / (1 - a)
+    p = t = s = total = 1.0
+    for n in range(TERMS_MAX):
+        r = -(p * c) * (1 + p) / ((1 - p * q2) * (1 - p * a))
+        t *= r
+        if abs(r) <= 0.5 and abs(t) <= u * total:
+            break
+        s += t
+        total += abs(t)
+        p *= q2
+        if not (total < math.inf and p >= sys.float_info.min):
+            return None
+    else:
+        return None
+    beta = (n + 3) ** 2 * k_amp * u
+    if beta > 0.125:
+        return None
+    return s, 4 * ((beta + n * u) * total + abs(t))
 
 
 # --- displays as printed in the paper (shown false by the tests) --------

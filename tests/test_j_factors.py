@@ -1,14 +1,17 @@
-"""The J series' memo of (q, alpha)-only ratio factors and the raw-tuple
-exact pass of sum_series: every value equals the one-expression ratio of
+"""The J series' memo of (q, alpha)-only ratio factors and x rows, and
+the raw-tuple exact pass of sum_series with its exponent pre-test: every
+value and stop decision equals the one-expression ratio of
 tests/oracles.py summed on mpf objects (oracles.sum_series_mpf) bit for
 bit, and the memo stays small while it saves the zero finder most of its
-q-powers.
+q-powers and libmp calls.
 """
+
+import math
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import fzero
+from mpmath.libmp import from_float, fzero
 
 from bigqbessel import QContext, bqbessel, eval_dJ_dz, eval_J, find_zeros
 from bigqbessel.qcalc import sum_series
@@ -271,3 +274,133 @@ def test_memo_stays_bounded():
         eval_J(ctx, n / 10, 1, 2.0, 1e-12)
         assert _entries() <= bqbessel._FACTOR_SLOTS
     assert bqbessel._FACTOR_SLOTS == 4
+
+
+# Synthetic series for the stop test: t_0 and the ratios are doubles, so
+# the raw and the mpf loop read the same exact values.  With |r| in
+# [0.8, 0.95], or |r| = 1/2 exactly, the last terms before the stop lie
+# within a factor 4 of tol max(1, |s|), where sum_series' exponent
+# pre-test hands the decision to the mpf test; the sums end on both sides
+# of |s| = 1.
+def _ratios(sign, base):
+    if base == 0.5:
+        return lambda k: sign * 0.5
+    return lambda k: sign * (base + 0.15 * ((k * 0.6180339887) % 1))
+
+
+STOP_CASES = [
+    # (t_0, sign of r, |r| base, tol), and the sum
+    (1.0, -1, 0.5, 2.0**-20),  # |t_20| = tol exactly; s = 2/3
+    (3.0, 1, 0.5, 2.0**-20),  # s = 6, tol |s| 3 times a power of 2
+    (1.68, -1, 0.8, 1e-12),  # s = 0.98
+    (1.75, -1, 0.8, 1e-12),  # s = 1.02
+    (1.9, -1, 0.8, 3e-8),  # s = 1.11
+    (2.1, -1, 0.8, 1e-3),  # s = 1.22
+    (0.5, -1, 0.8, 1e-12),  # s = 0.29
+    (0.134, 1, 0.8, 1e-15),  # terms of one sign: s = 0.99
+    (0.2, 1, 0.8, 1e-15),  # s = 1.48
+    (40.0, -1, 0.8, 1e-9),  # s = 23
+    (1.0, -1, 0.8, _wide_tol(3e-10)),  # an mpf tol off the working grid
+]
+
+
+@pytest.mark.parametrize("t0,sign,base,tol", STOP_CASES)
+@pytest.mark.parametrize("rnd", "nfcdu")
+def test_stop_test_near_the_bound_is_the_mpf_test(t0, sign, base, tol, rnd):
+    ratio = _ratios(sign, base)
+    log_ratio = lambda k: math.log10(abs(ratio(k)))  # noqa: E731
+    args = (math.log10(t0), log_ratio)
+    saved = mp.mp._prec_rounding[1]
+    try:
+        mp.mp._prec_rounding[1] = rnd
+        got = sum_series(
+            *args, lambda: from_float(t0), lambda k: from_float(ratio(k)), tol
+        )
+        want = oracles.sum_series_mpf(
+            *args, lambda: mp.mpf(t0), lambda k: mp.mpf(ratio(k)), tol
+        )
+    finally:
+        mp.mp._prec_rounding[1] = saved
+    assert _bits(got) == _bits(want)
+    # the stopping term and the one before it lie within a factor 4 of the
+    # bound tol max(1, |s|)
+    n = got.terms_used
+    last = abs(t0 * math.prod(ratio(k) for k in range(n - 1)))
+    bound = float(tol) * max(1.0, abs(float(got.value)))
+    assert bound / 4 <= last <= bound
+    assert bound < last / abs(ratio(n - 2)) <= 4 * bound
+
+
+def test_one_entry_serves_x_in_turn(monkeypatch):
+    # at a z this small no term exceeds 1, so eval_J and eval_dJ_dz sum at
+    # the same precision, whatever x, and share one memo entry, whose x
+    # rows change hands at every call
+    built = []
+
+    class Counted(bqbessel._Factors):
+        def __init__(self, q, alpha):
+            super().__init__(q, alpha)
+            built.append(self)
+
+    monkeypatch.setattr(bqbessel, "_Factors", Counted)
+    bqbessel._factors.cache_clear()
+    q, alpha, z, tol = 0.7, 0.5, 0.5, 1e-20
+    for x in (1, 0.5, 1, 0):
+        _assert_as_expression(q, alpha, x, z, tol)
+    assert len(built) == 1
+    assert built[0].x2 == fzero  # the last x served
+    # a ratio that holds the rows of its x keeps them while another x
+    # takes the entry over
+    log1, r1 = bqbessel._j_ratio(mp.mpf(alpha), mp.mpf(1), mp.mpf(z), q)
+    _, r5 = bqbessel._j_ratio(mp.mpf(alpha), mp.mpf(0.5), mp.mpf(z), q)
+    _, want1 = oracles.ratio_expression(alpha, 1, z, q)
+    _, want5 = oracles.ratio_expression(alpha, 0.5, z, q)
+    with mp.workdps(40):
+        for k in range(12):
+            assert r1(k) == want1(k)._mpf_
+            assert r5(k) == want5(k)._mpf_
+        for k in range(12, 24):
+            assert r1(k) == want1(k)._mpf_
+        for k in range(1, 24):
+            lead = mp.mpf(k + 1) / k
+            assert r5(k, True) == want5(k, lead)._mpf_
+            assert r1(k, True) == want1(k, lead)._mpf_
+
+
+# libmp calls of the J series (the exact pass, its ratio and the factor
+# and x rows) per summed term in find_zeros(0.9, 1/2, 19, 1e-12), from a
+# cold memo: 9.69 when each ratio combined x^2 + q^(2k), T_k, z and D_k and
+# each term ran the full mpf stop test, 5.38 since
+ENGINE_CALLS_PER_TERM = 6.0
+
+
+def test_engine_libmp_calls_per_term(monkeypatch):
+    from bigqbessel import qcalc
+
+    counts = {"calls": 0, "terms": 0}
+
+    def counted(f):
+        def call(*args):
+            counts["calls"] += 1
+            return f(*args)
+
+        return call
+
+    for module in (qcalc, bqbessel):
+        for name in ("mpf_mul", "mpf_add", "mpf_div", "mpf_abs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, counted(getattr(module, name))
+                )
+    summed = bqbessel.sum_series
+
+    def counted_sum(*args, **kwargs):
+        sv = summed(*args, **kwargs)
+        counts["terms"] += sv.terms_used
+        return sv
+
+    monkeypatch.setattr(bqbessel, "sum_series", counted_sum)
+    bqbessel._factors.cache_clear()
+    assert len(find_zeros(QContext(0.9), 0.5, 19, tol=1e-12)) == 19
+    assert counts["terms"] > 0
+    assert counts["calls"] <= ENGINE_CALLS_PER_TERM * counts["terms"]

@@ -284,3 +284,35 @@ def test_signal_roundtrip():
     assert list(back.values) == list(f.values)
     with pytest.raises(ValueError):
         QLatticeSignal(values=[])
+
+
+def test_closed_factors_are_taken_once_per_call(ctx05, table05, monkeypatch):
+    # gram_matrix and fourier_coefficients take C and W(1) once per call,
+    # not once per zero, and their norms are norm_sq_closed's bit for bit
+    from bigqbessel import orthogonality
+
+    calls = []
+    closed = orthogonality._closed_factors
+
+    def recorded(*args):
+        calls.append(args)
+        return closed(*args)
+
+    monkeypatch.setattr(orthogonality, "_closed_factors", recorded)
+    tol = 1e-13
+    rep = gram_matrix(ctx05, 0.0, table05, tol=tol)
+    assert len(calls) == 1
+    norms = [
+        norm_sq_closed(ctx05, 0.0, j, d, tol=tol)
+        for j, d in zip(table05.zeros, table05.derivs)
+    ]
+    assert [v._mpf_ for v in rep.norm_closed] == [v._mpf_ for v in norms]
+    signal = QLatticeSignal([1, -0.5, 0.25, 0.125, 2, -1])
+    del calls[:]
+    coeffs = fourier_coefficients(ctx05, 0.0, signal, table05, tol=tol)
+    assert len(calls) == 1
+    with mp.workdps(_workdigits(tol)):
+        lat = orthogonality._lattice(ctx05, mp.mpf(0), tol)
+        for c, j, mu in zip(coeffs, table05.zeros, norms):
+            ip = lat.integral(signal.values, lat.basis(j)).value
+            assert c._mpf_ == (ip / mu)._mpf_

@@ -497,3 +497,21 @@ def test_a_tol_below_the_double_range_refines_the_value():
     coarse = eval_J(CTX, 0.0, 1.0, 2.0, 1e-300)
     assert fine.abs_error < coarse.abs_error
     assert abs(fine.value - coarse.value) <= coarse.abs_error
+
+
+def test_jackson_sum_takes_each_power_of_q_once():
+    # q^n enters the n-th term and the tail after it: one power per point
+    powers = []
+
+    class CountedQ(mp.mpf):
+        def __pow__(self, n):
+            powers.append(n)
+            return mp.mpf.__pow__(self, n)
+
+    from bigqbessel.qcalc import jackson_sum
+
+    q = CountedQ(0.5)
+    sv = jackson_sum(lambda n: mp.mpf(1) / (n + 1), mp.mpf(1), q, 1e-12)
+    assert powers == list(range(sv.terms_used + 1))
+    # (1 - q) sum_n q^n / (n + 1) = -(1 - q) log(1 - q) / q = log 2
+    assert abs(sv.value - mp.log(2)) <= sv.abs_error + 1e-15

@@ -397,3 +397,83 @@ def test_j_sign_declines_values_that_are_not_doubles():
     # a double stays a double at any mpmath precision of the caller
     with mp.workprec(30):
         assert _j_sign(0.5, 0.3, 0.5) == 1
+
+
+def test_find_zeros_evaluates_no_point_twice(monkeypatch):
+    # where the scan fell back to eval_J at a bracket end, refine takes
+    # that value instead of evaluating J there again
+    calls = []
+
+    def recorded(ctx, alpha, x, z, tol):
+        calls.append((ctx.q, alpha, x, getattr(z, "_mpf_", z), tol))
+        return eval_J(ctx, alpha, x, z, tol)
+
+    monkeypatch.setattr(zerofinder, "eval_J", recorded)
+    table = find_zeros(QContext(0.9), 0.5, 19, tol=1e-12)
+    assert len(table) == 19
+    assert len(calls) == len(set(calls))
+    assert _digest(table) == PINNED_TABLES[(0.9, 0.5, 19, 1e-12)]
+
+
+def _off_grid(v):
+    """v times 1 + 2^-70, an mpf that is not a double."""
+    with mp.workprec(120):
+        return mp.mpf(v) * (1 + mp.mpf(2) ** -70)
+
+
+def _as_200_bits(v):
+    """The double v as an mpf computed at 200 bits."""
+    with mp.workprec(200):
+        return (mp.mpf(v) + mp.mpf(2) ** -150) - mp.mpf(2) ** -150
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    q=st.one_of(
+        st.sampled_from([0.3, 0.5, 0.9, 0.99]),
+        st.floats(min_value=0.01, max_value=0.999),
+    ),
+    alpha=st.one_of(
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=-0.999, max_value=4.0),
+    ),
+    # scan-sized z, z where the products p_k c leave the normal range
+    # (tiny z) or the terms overflow (huge z), and subnormal z
+    log_z=st.one_of(
+        st.floats(min_value=-3.0, max_value=6.0),
+        st.floats(min_value=-320.0, max_value=-290.0),
+        st.floats(min_value=250.0, max_value=308.0),
+    ),
+    form=st.sampled_from(["float", "mpf", "off_grid", "200_bits"]),
+)
+def test_j_sum_is_the_loop_it_replaced(q, alpha, log_z, form):
+    z = 10.0**log_z
+    zv = {
+        "float": z,
+        "mpf": mp.mpf(z),
+        "off_grid": _off_grid(z),
+        "200_bits": _as_200_bits(z),
+    }[form]
+    for args in ((alpha, zv, q), (mp.mpf(alpha), z, mp.mpf(q))):
+        got = zerofinder._j_sum(*args)
+        want = oracles.j_sum_loop(*args)
+        assert got == want, args
+        if got is not None:
+            assert all(isinstance(v, float) for v in got)
+
+
+@pytest.mark.parametrize(
+    "q,alpha,z,summed",
+    [
+        (0.5, 0.5, 3.0, True),
+        (0.9, 0.5, 1e4, True),
+        (0.05, 0.0, 1e-300, True),  # p_k c leaves the normal range
+        (0.5, 0.0, 5e-324, False),  # a subnormal z
+        (0.05, 0.0, 1e300, False),  # the terms overflow
+        (0.999, 0.0, 1e6, False),  # too many terms for the bound
+    ],
+)
+def test_j_sum_edges_are_the_loop_it_replaced(q, alpha, z, summed):
+    got = zerofinder._j_sum(alpha, z, q)
+    assert got == oracles.j_sum_loop(alpha, z, q)
+    assert (got is not None) == summed
