@@ -164,20 +164,21 @@ class _Factors:
         return mpf_exp(mpf_mul(t, self.log_q), self.prec, self.rnd)
 
     def _row(self) -> None:
-        """Append row k = len(D); q^(2k+2) is kept as p_(k+1)."""
+        """Append row k = len(D); q^(2k+2) is kept as p_(k+1).  The row is
+        computed whole before any list takes it, so a build that raises
+        leaves the entry as it was."""
         prec, rnd = self.prec, self.rnd
         k = len(self.D)
         p1 = mpf_pow_int(self.qm, 2 * k + 2, prec, rnd)
-        t = mpf_neg(self.p[k], prec, rnd)
-        self.T.append(mpf_mul(t, self.A, prec, rnd))
-        self.p.append(p1)
+        t = mpf_mul(mpf_neg(self.p[k], prec, rnd), self.A, prec, rnd)
         y = self._pow(mpf_add(self.e0, from_int(2 * k), prec, rnd))
-        self.D.append(
-            mpf_mul(
-                mpf_sub(fone, p1, prec, rnd), mpf_sub(fone, y, prec, rnd),
-                prec, rnd,
-            )
+        d = mpf_mul(
+            mpf_sub(fone, p1, prec, rnd), mpf_sub(fone, y, prec, rnd),
+            prec, rnd,
         )
+        self.T.append(t)
+        self.p.append(p1)
+        self.D.append(d)
 
     def _lead_row(self) -> None:
         """Append lead row k = len(L), which needs row k - 1."""
@@ -228,7 +229,11 @@ class _FloatRows:
     n P_n = q2^n (the running product P_(n+1) = P_n q2), P1_n = 1 + P_n and
     QD_n = (1 - P_n q2) (1 - P_n a).  Each row is the float expression that
     its caller evaluated in place, with the same operands in the same
-    order, so every value is the same double."""
+    order, so every value is the same double; only where 1 - q^t rounds
+    to 0 (q^(2alpha+2) next to 1, alpha next to -1) is log10(1 - q^t)
+    taken as log10(-expm1(t ln q)) instead.  G_k and H_k, and the pair
+    (q2, a), are computed whole before the entry takes them, so a build
+    that raises leaves the entry as it was."""
 
     __slots__ = ("qf", "af", "lq", "c", "G", "H", "q2", "a", "P", "P1", "QD")
 
@@ -240,17 +245,29 @@ class _FloatRows:
         self.q2 = self.a = None
         self.P, self.P1, self.QD = [1.0], [], []
 
+    def _log1m(self, t) -> float:
+        """log10(1 - q^t), t > 0."""
+        d = 1 - self.qf ** t
+        return math.log10(d or -math.expm1(t * math.log(self.qf)))
+
     def log_row(self) -> None:
         """Append G_k and H_k, k = len(G)."""
-        qf, k = self.qf, len(self.G)
-        self.G.append(math.log10(1 - qf ** (2 * k + 2)))
-        self.H.append(math.log10(1 - qf ** (2 * self.af + 2 + 2 * k)))
+        k = len(self.G)
+        g = self._log1m(2 * k + 2)
+        h = self._log1m(2 * self.af + 2 + 2 * k)
+        self.G.append(g)
+        self.H.append(h)
 
     def sum_factors(self) -> tuple[float, float]:
-        """(q2, a) of _j_sum, taken the first time it asks."""
+        """(q2, a) of _j_sum, taken the first time it asks; a is inf where
+        q^(2alpha) overflows a double."""
         if self.q2 is None:
-            self.q2 = self.qf * self.qf
-            self.a = self.qf ** (2 * self.af) * self.q2
+            q2 = self.qf * self.qf
+            try:
+                a = self.qf ** (2 * self.af) * q2
+            except OverflowError:
+                a = math.inf
+            self.q2, self.a = q2, a
         return self.q2, self.a
 
     def sum_row(self) -> None:
@@ -400,7 +417,8 @@ def _j_sum(alpha, z, q) -> tuple[float, float] | None:
     #   E = 4 ((beta + n u) A + |t_{n+1}|).
     # Underflow: q2, c and p are checked to be normal; a product p c below
     # the normal range makes |r| < 2^-1021 K^2 <= u and so ends the loop at
-    # that term, where it enters E only.  Overflow gives up through A.
+    # that term, where it enters E only.  Overflow gives up through a < 1
+    # (a is inf where q^(2 alpha) overflows) and through A.
     # Rows: q2, a and per n P_n = q^(2n) (the running product p above),
     # 1 + P_n and (1 - P_n q2)(1 - P_n a) come from the memo of
     # (q, alpha) (_float_rows), which builds each by the float operations

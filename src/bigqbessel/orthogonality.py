@@ -26,9 +26,10 @@ Every lattice sum here is one weighted Jackson sum,
 lattices live in a memo keyed by (q, alpha, tol) and mpmath's working
 precision and rounding, compared by value (_lattice; an LRU cache of the
 _LATTICE_SLOTS keys used last), so that calls on one zero table share the
-powers q^m, the weights and the columns J_{alpha+1}(q^m, j_k) of the zero
-family (_Lattice.basis; the _BASIS_SLOTS zeros used last per lattice).
-Each value is the same mpmath operation on the same operands at the same
+powers q^m, the weights, the columns J_{alpha+1}(q^m, j_k) of the zero
+family (_Lattice.basis; the _BASIS_SLOTS zeros used last per lattice) and
+the constants C and W(1) of the closed forms (_Lattice.closed).  Each
+value is the same mpmath operation on the same operands at the same
 precision as when a call computed it itself, so every result is
 bit-identical to a fresh computation's.
 """
@@ -133,10 +134,11 @@ class _Lattice:
     """The Jackson lattice q^m of [0, 1] for one (ctx, alpha, tol) at one
     working precision, kept across calls in the memo of _lattice.
 
-    The powers q^m and the weights w(q^m) are each computed once, when
-    first needed.  column(z) gives a column for one call; basis(zero) gives
-    the zero family's column at z = zero^2 from the _BASIS_SLOTS zeros
-    used last, so calls on one zero table share it.
+    The powers q^m, the weights w(q^m) and the closed forms' C and W(1)
+    are each computed once, when first needed.  column(z) gives a column
+    for one call; basis(zero) gives the zero family's column at z = zero^2
+    from the _BASIS_SLOTS zeros used last, so calls on one zero table
+    share it.
     """
 
     def __init__(self, ctx: QContext, alpha, tol: float) -> None:
@@ -158,6 +160,14 @@ class _Lattice:
         if m not in self._weights:
             self._weights[m] = weight(self.ctx, self.alpha, self.qpow(m), self.tol)
         return self._weights[m]
+
+    @functools.cached_property
+    def closed(self) -> tuple:
+        """C and W(1) of the module docstring, from alpha exactly (the
+        order alpha + 1 is rounded to the working precision)."""
+        q, am = self.q, _arg("alpha", self.alpha)
+        C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
+        return C, fused_product_ratio(1, 0, 2 * am + 2, q, self.tol)
 
     def column(self, z) -> "_Column":
         return _Column(self, z)
@@ -301,13 +311,6 @@ def _bracket(ctx, alpha, u, v, z_lam, z_mu, tol):
     ).value
 
 
-def _closed_factors(q, am, tol):
-    """C and W(1) of the module docstring at alpha = am, at the caller's
-    precision."""
-    C = (1 - q) * (1 - q ** (2 * am + 2)) / q ** (2 * am + 2)
-    return C, fused_product_ratio(1, 0, 2 * am + 2, q, tol)
-
-
 def lommel_rhs_closed(
     ctx: QContext,
     alpha,
@@ -326,7 +329,7 @@ def lommel_rhs_closed(
     with mp.workdps(_workdigits(tol)):
         z_lam = lam * lam
         z_mu = mu * mu
-        C, W = _closed_factors(q, am, tol)
+        C, W = _lattice(ctx, am, tol).closed
         bq = _bracket(ctx, am, 1 / q, 1, z_lam, z_mu, tol)
         b0 = _bracket(ctx, am, 0, 0, z_lam, z_mu, tol)
         val = C * (W * bq - b0)
@@ -362,33 +365,25 @@ def norm_sq_closed(
     where dF(0) denotes the lambda-derivative at x = 0.  A point with
     |J_alpha(1, j_k)| > NOT_A_ZERO_TOL raises NotAZero.
     """
-    am = _order(alpha, -1)
+    am, q = _order(alpha, -1), _arg("q", ctx.q)
     zero, deriv = _arg("zero", zero), _arg("deriv", deriv)
     with mp.workdps(_workdigits(tol)):
-        return _norm_sq(ctx, am, zero, deriv, tol, None)
-
-
-def _norm_sq(ctx: QContext, am, zero, deriv, tol, closed):
-    """norm_sq_closed on checked arguments at its working precision;
-    closed is (C, W(1)) of _closed_factors at that precision where the
-    caller took it once for many zeros, else None."""
-    q = _arg("q", ctx.q)
-    z = zero * zero
-    resid = abs(eval_J(ctx, am, 1, z, tol).value)
-    if resid > NOT_A_ZERO_TOL:
-        # a is the lattice end, 1 here; perfbench's probe lines print this
-        # message, so its wording stays
-        raise NotAZero(
-            f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
-            f"{NOT_A_ZERO_TOL}"
-        )
-    C, W = closed or _closed_factors(q, am, tol)
-    jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
-    jp0 = eval_J(ctx, am + 1, 0, z, tol).value
-    jm0 = eval_J(ctx, am, 0, z, tol).value
-    djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
-    djp0 = 2 * zero * eval_dJ_dz(ctx, am + 1, 0, z, tol).value
-    return -C / (2 * zero) * (W * jp_aq * deriv - jp0 * djm0 + djp0 * jm0)
+        z = zero * zero
+        resid = abs(eval_J(ctx, am, 1, z, tol).value)
+        if resid > NOT_A_ZERO_TOL:
+            # a is the lattice end, 1 here; perfbench's probe lines
+            # print this message, so its wording stays
+            raise NotAZero(
+                f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
+                f"{NOT_A_ZERO_TOL}"
+            )
+        C, W = _lattice(ctx, am, tol).closed
+        jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
+        jp0 = eval_J(ctx, am + 1, 0, z, tol).value
+        jm0 = eval_J(ctx, am, 0, z, tol).value
+        djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
+        djp0 = 2 * zero * eval_dJ_dz(ctx, am + 1, 0, z, tol).value
+        return -C / (2 * zero) * (W * jp_aq * deriv - jp0 * djm0 + djp0 * jm0)
 
 
 def gram_matrix(
@@ -416,9 +411,8 @@ def gram_matrix(
                 v = lat.integral(cols[i], cols[j]).value
                 mat[i][j] = v
                 mat[j][i] = v
-        closed = _closed_factors(_arg("q", ctx.q), alpha, tol)
         norms = [
-            _norm_sq(ctx, alpha, table.zeros[k], table.derivs[k], tol, closed)
+            norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
             for k in range(n)
         ]
         worst = mp.mpf(0)
@@ -445,13 +439,10 @@ def fourier_coefficients(
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
         lat = _lattice(ctx, alpha, tol)
-        closed = _closed_factors(_arg("q", ctx.q), alpha, tol)
         coeffs = []
         for k in range(len(table)):
             ip = lat.integral(f.values, lat.basis(table.zeros[k])).value
-            mu = _norm_sq(
-                ctx, alpha, table.zeros[k], table.derivs[k], tol, closed
-            )
+            mu = norm_sq_closed(ctx, alpha, table.zeros[k], table.derivs[k], tol)
             coeffs.append(ip / mu)
         return coeffs
 

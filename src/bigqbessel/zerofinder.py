@@ -24,9 +24,7 @@ refine_zero reads only the signs of J at the two bracket ends and the
 decade of the larger |J|, which sets its working precision.  Each end's
 value is the same double sum (_certified_end) where its error bound and
 eval_J's certify both, and eval_J's value elsewhere, so the refined bits
-are those of evaluating both ends with eval_J.  Where the scan of
-find_zeros fell back to eval_J at an end, refine_zero takes that value
-(_scan_values), so no point is evaluated twice.  refine_zero returns J at
+are those of evaluating both ends with eval_J.  refine_zero returns J at
 its zero, from its last Newton step, and find_zeros keeps it as the
 residual.  The scan, and refine_zero's logs, run at mpmath's default 53
 bits, so a table does not depend on the caller's precision.
@@ -34,11 +32,9 @@ bits, so a table does not depend on the caller's precision.
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 import math
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import mpmath as mp
 from mpmath.libmp import from_float
@@ -112,42 +108,6 @@ def _g(ctx: QContext, alpha, z, eval_tol):
     return eval_J(ctx, alpha, 1, z, tol=eval_tol).value
 
 
-# The eval_J values that the scan of the running find_zeros took, by z,
-# with the (q, alpha, eval tol) it took them at; None outside a scan.
-# find_zeros refines through the public refine_zero, whose parameters stay
-# as they are, so the values travel beside that call.
-_SCAN_VALUES: ContextVar[tuple | None] = ContextVar(
-    "bigqbessel_scan_values", default=None
-)
-
-
-@contextlib.contextmanager
-def _scan_values(q, alpha, eval_tol) -> Iterator[dict]:
-    """The dict, z's _mpf_ to eval_J's value at z, in which a scan at
-    (q, alpha, eval_tol) keeps its eval_J values for refine_zero's ends
-    while it runs."""
-    values: dict = {}
-    token = _SCAN_VALUES.set((q, alpha, eval_tol, values))
-    try:
-        yield values
-    finally:
-        _SCAN_VALUES.reset(token)
-
-
-def _end(ctx: QContext, alpha, z, eval_tol):
-    """refine_zero's value at a bracket end z: eval_J's value where the
-    running scan took it, else _certified_end's double sum, else eval_J's.
-    Refine reads only the signs of the two and the decade of the larger,
-    which _certified_end's value shares with eval_J's, so the result does
-    not depend on which it got."""
-    scan = _SCAN_VALUES.get()
-    if scan is not None and scan[:3] == (ctx.q, alpha, eval_tol):
-        g = scan[3].get(z._mpf_)
-        if g is not None:
-            return g
-    return _certified_end(alpha, z, ctx.q) or _g(ctx, alpha, z, eval_tol)
-
-
 def _eval_tol(tol) -> float:
     """The tolerance of the J evaluations behind a residual target tol,
     once _tol accepts it."""
@@ -209,15 +169,14 @@ def refine_zero(
     z polishes; each Newton iterate is kept inside the current bracket
     (falling back to bisection when it escapes), so the sign change is
     preserved throughout.  Of the two end values only their signs and the
-    decade of the larger are read, so each is eval_J's value where the
-    scan of find_zeros took it, else the double sum where _certified_end
-    certifies both, and eval_J's value elsewhere (_end).
+    decade of the larger are read, so each is the double sum where
+    _certified_end certifies both, and eval_J's value elsewhere.
     """
     alpha = _order(alpha, -1)
     z_lo, z_hi = _arg("z_lo", z_lo), _arg("z_hi", z_hi)
     eval_tol = _eval_tol(tol)
-    g_lo = _end(ctx, alpha, z_lo, eval_tol)
-    g_hi = _end(ctx, alpha, z_hi, eval_tol)
+    g_lo = _certified_end(alpha, z_lo, ctx.q) or _g(ctx, alpha, z_lo, eval_tol)
+    g_hi = _certified_end(alpha, z_hi, ctx.q) or _g(ctx, alpha, z_hi, eval_tol)
     # Near large zeros the slope |dg/dz| is huge, so meeting an absolute
     # residual target on |g| requires the iterate itself to carry far more
     # digits than the residual suggests: |g| ~ |g'| dz, so the working
@@ -306,7 +265,7 @@ def find_zeros(
     count = _integer("count", count)
     max_steps = _integer("max_steps", max_steps)
     eval_tol = _eval_tol(tol)
-    with mp.workprec(53), _scan_values(ctx.q, am, eval_tol) as values:
+    with mp.workprec(53):
         q = _arg("q", ctx.q)
         rho_m = q ** RHO_EXPONENT if rho is None else _arg("rho", rho)
         if not rho_m > 1:  # the scan steps up in z
@@ -316,13 +275,9 @@ def find_zeros(
         residuals: List[mp.mpf] = []
 
         def sign(z):
-            # the certified sign where the double sum gives one, else J,
-            # which refine_zero reads back at a bracket end (alpha as
-            # passed: _j_sign checks a float fastest)
-            s = _j_sign(alpha, z, ctx.q)
-            if not s:
-                s = values[z._mpf_] = _g(ctx, am, z, eval_tol)
-            return s
+            # the certified sign where the double sum gives one, else J
+            # (alpha as passed: _j_sign checks a float fastest)
+            return _j_sign(alpha, z, ctx.q) or _g(ctx, am, z, eval_tol)
 
         # the multipliers rho^(i/SUBDIVISIONS) of every step, taken once:
         # z_lo times them are the points _geometric(z_lo, rho) gives

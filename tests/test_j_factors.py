@@ -7,6 +7,7 @@ q-powers and libmp calls.
 """
 
 import math
+import types
 
 import mpmath as mp
 import pytest
@@ -404,3 +405,65 @@ def test_engine_libmp_calls_per_term(monkeypatch):
     assert len(find_zeros(QContext(0.9), 0.5, 19, tol=1e-12)) == 19
     assert counts["terms"] > 0
     assert counts["calls"] <= ENGINE_CALLS_PER_TERM * counts["terms"]
+
+
+@pytest.mark.parametrize("q,alpha", [(0.9, -1 + 2**-53), (0.99, -1 + 1e-15)])
+def test_an_order_next_to_minus_one_evaluates_alike_twice(q, alpha):
+    # q^(2alpha+2) rounds to 1 in doubles, so the float pass takes
+    # log10(1 - q^(2alpha+2)) from expm1, and a second call reads the rows
+    # the first one left
+    for f in (eval_J, eval_dJ_dz):
+        bqbessel._float_rows.cache_clear()
+        bqbessel._factors.cache_clear()
+        first = _bits(f(QContext(q), alpha, 1.0, 2.0))
+        assert _bits(f(QContext(q), alpha, 1.0, 2.0)) == first
+
+
+class _Interrupted(Exception):
+    """Raised from inside a row build by the test below."""
+
+
+def _raising_at(n, f):
+    """f, except that its n-th call raises _Interrupted."""
+    calls = [0]
+
+    def call(*args):
+        calls[0] += 1
+        if calls[0] == n:
+            raise _Interrupted
+        return f(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 14])
+def test_a_row_build_that_raises_leaves_the_entry_as_it_was(monkeypatch, n):
+    # a build interrupted at any point leaves rows that later calls read
+    # as a fresh entry's, bit for bit
+    calls = [(f, QContext(0.37), 0.41, 0.7, 25.0) for f in (eval_J, eval_dJ_dz)]
+
+    def run():
+        return [_bits(f(*args)) for f, *args in calls]
+
+    def clear():
+        bqbessel._factors.cache_clear()
+        bqbessel._float_rows.cache_clear()
+
+    clear()
+    want = run()
+    flaky_math = types.ModuleType("math")
+    flaky_math.__dict__.update(vars(math))
+    flaky_math.log10 = _raising_at(n, math.log10)
+    for target, name, flaky in (
+        (bqbessel._Factors, "_pow", _raising_at(n, bqbessel._Factors._pow)),
+        (bqbessel, "math", flaky_math),
+    ):
+        clear()
+        with monkeypatch.context() as m:
+            m.setattr(target, name, flaky)
+            for f, *args in calls:
+                try:
+                    f(*args)
+                except _Interrupted:
+                    pass
+        assert run() == want

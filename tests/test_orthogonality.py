@@ -286,33 +286,39 @@ def test_signal_roundtrip():
         QLatticeSignal(values=[])
 
 
-def test_closed_factors_are_taken_once_per_call(ctx05, table05, monkeypatch):
-    # gram_matrix and fourier_coefficients take C and W(1) once per call,
-    # not once per zero, and their norms are norm_sq_closed's bit for bit
+def test_closed_factors_are_taken_once_per_lattice_entry(
+    ctx05, table05, monkeypatch
+):
+    # the closed forms read C and W(1) from the lattice memo entry, built
+    # once per entry, and the Gram norms are a cold norm_sq_closed's bit
+    # for bit
     from bigqbessel import orthogonality
 
-    calls = []
-    closed = orthogonality._closed_factors
+    tol = 1e-13
+    cold = []
+    for j, d in zip(table05.zeros, table05.derivs):
+        orthogonality._memo.cache_clear()
+        cold.append(norm_sq_closed(ctx05, 0.0, j, d, tol=tol))
+    builds = []
+    product = orthogonality.fused_product_ratio
 
     def recorded(*args):
-        calls.append(args)
-        return closed(*args)
+        if args[1] == 0:  # W(1); the weights pass 2 there
+            builds.append(args)
+        return product(*args)
 
-    monkeypatch.setattr(orthogonality, "_closed_factors", recorded)
-    tol = 1e-13
+    monkeypatch.setattr(orthogonality, "fused_product_ratio", recorded)
+    orthogonality._memo.cache_clear()
     rep = gram_matrix(ctx05, 0.0, table05, tol=tol)
-    assert len(calls) == 1
-    norms = [
-        norm_sq_closed(ctx05, 0.0, j, d, tol=tol)
-        for j, d in zip(table05.zeros, table05.derivs)
-    ]
-    assert [v._mpf_ for v in rep.norm_closed] == [v._mpf_ for v in norms]
     signal = QLatticeSignal([1, -0.5, 0.25, 0.125, 2, -1])
-    del calls[:]
     coeffs = fourier_coefficients(ctx05, 0.0, signal, table05, tol=tol)
-    assert len(calls) == 1
+    mu = norm_sq_closed(ctx05, 0, table05.zeros[0], table05.derivs[0], tol)
+    lommel_rhs_closed(ctx05, 0, 1.3, 2.1, tol=tol)
+    assert len(builds) == 1
+    assert [v._mpf_ for v in rep.norm_closed] == [v._mpf_ for v in cold]
+    assert mu._mpf_ == cold[0]._mpf_
     with mp.workdps(_workdigits(tol)):
         lat = orthogonality._lattice(ctx05, mp.mpf(0), tol)
-        for c, j, mu in zip(coeffs, table05.zeros, norms):
+        for c, j, mu in zip(coeffs, table05.zeros, cold):
             ip = lat.integral(signal.values, lat.basis(j)).value
             assert c._mpf_ == (ip / mu)._mpf_

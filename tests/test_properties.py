@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bigqbessel import (
     QContext,
@@ -178,6 +178,11 @@ L1 = {
     prec=st.integers(min_value=30, max_value=200),
     rounding=st.sampled_from("nfcdu"),
 )
+# alpha next to -1, where q^(2alpha+2) rounds to 1 in doubles
+@example("eval_J", 0.9, -1 + 2**-53, 1.0, 2.0, 1e-13, 53, "n")
+@example("eval_J", 0.99, -1 + 1e-15, 1.0, 2.0, 1e-13, 53, "n")
+@example("eval_dJ_dz", 0.9, -1 + 2**-53, 1.0, 2.0, 1e-13, 53, "n")
+@example("eval_dJ_dz", 0.99, -1 + 1e-15, 1.0, 2.0, 1e-13, 53, "n")
 def test_l1_is_certified_or_typed(name, q, alpha, x, z, tol, prec, rounding):
     # at any caller precision and rounding an L1 call raises the
     # library's own error or returns a value within abs_error of the

@@ -399,20 +399,19 @@ def test_j_sign_declines_values_that_are_not_doubles():
         assert _j_sign(0.5, 0.3, 0.5) == 1
 
 
-def test_find_zeros_evaluates_no_point_twice(monkeypatch):
-    # where the scan fell back to eval_J at a bracket end, refine takes
-    # that value instead of evaluating J there again
-    calls = []
+def test_a_tiny_q_declines_the_double_sum_and_stays_typed():
+    # q^(2 alpha) overflows a double, so _j_sum declines and the scan and
+    # refine fall back to eval_J, on the first call and on the next
+    from bigqbessel import bqbessel
 
-    def recorded(ctx, alpha, x, z, tol):
-        calls.append((ctx.q, alpha, x, getattr(z, "_mpf_", z), tol))
-        return eval_J(ctx, alpha, x, z, tol)
-
-    monkeypatch.setattr(zerofinder, "eval_J", recorded)
-    table = find_zeros(QContext(0.9), 0.5, 19, tol=1e-12)
-    assert len(table) == 19
-    assert len(calls) == len(set(calls))
-    assert _digest(table) == PINNED_TABLES[(0.9, 0.5, 19, 1e-12)]
+    bqbessel._float_rows.cache_clear()
+    for _ in range(2):
+        assert bqbessel._j_sum(-0.9, 2.0, 1e-200) is None
+    for _ in range(2):
+        with pytest.raises(BracketingFailure):
+            find_zeros(QContext(1e-320), -0.49, 1)
+        with pytest.raises(NoSignChange):
+            refine_zero(QContext(1e-200), -0.9, 1.0, 2.0)
 
 
 def _off_grid(v):
