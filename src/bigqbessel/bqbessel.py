@@ -62,7 +62,7 @@ from mpmath.libmp import (
 )
 
 from .defaults import DEFAULT_TOL, TERMS_MAX
-from .errors import InvalidArgument, ZeroSpectralParameter
+from .errors import InvalidArgument
 from .qcalc import (
     QContext,
     SeriesValue,
@@ -531,7 +531,7 @@ def _recurrence_args(ctx: QContext, alpha, x, z):
     alpha, q = _order(alpha, 0), _arg("q", ctx.q)
     x, z = _arg("x", x), _arg("z", z)
     if z == 0:
-        raise ZeroSpectralParameter("recurrence undefined at z = 0")
+        raise InvalidArgument("recurrence undefined at z = 0")
     return q, alpha, x, z
 
 
@@ -579,9 +579,11 @@ def apply_L(ctx: QContext, alpha, f: Callable, x):
     with w_in = (-y^2 q^2; q^2)_inf / (-y^2 q^(2alpha+4); q^2)_inf and
     w_out = (-x^2 q^(2alpha+2); q^2)_inf / (-x^2 q^2; q^2)_inf.
     J_alpha(., lambda; q^2) is an eigenfunction with eigenvalue
-    -lambda^2 q^(2alpha+3) / (1-q)^2.
+    -lambda^2 q^(2alpha+3) / (1-q)^2.  Undefined at x = 0.
     """
-    q, a = _arg("q", ctx.q), _arg("alpha", alpha)
+    q, a, x = _arg("q", ctx.q), _arg("alpha", alpha), _arg("x", x)
+    if x == 0:
+        raise InvalidArgument("apply_L is undefined at x = 0")
 
     def inner(y):
         return (
@@ -590,7 +592,6 @@ def apply_L(ctx: QContext, alpha, f: Callable, x):
             * q_derivative(f, y, q)
         )
 
-    x = _arg("x", x)
     return (
         fused_product_ratio(x * x, 2 * a + 2, 2, q)
         / x

@@ -17,7 +17,8 @@ TERMS_MAX = 10_000
 Q_MAX = 0.999
 
 # Zero finder: absolute residual target on |J_alpha(1, j; q^2)| and the
-# floor on |dJ/dlambda| below which a zero is not accepted as simple.
+# floor on |lambda dJ/dlambda| below which a zero is not accepted as simple
+# (dJ/dlambda itself falls like 1/lambda at a far first zero).
 RESIDUAL_TOL = 1e-9
 SIMPLICITY_FLOOR = 1e-12
 

@@ -1,8 +1,11 @@
 """Exception hierarchy for the big q-Bessel library.
 
-Every numerical failure mode raised by the library derives from
-:class:`BigQBesselError`, so callers (notably the CLI) can map any library
-failure to a single exit path while still discriminating causes.
+Every failure raised by the library derives from :class:`BigQBesselError`,
+so callers (notably the CLI) can map any library failure to a single exit
+path while still discriminating causes.  An argument outside the domain
+of the call is an :class:`InvalidArgument`, whatever the argument, except
+an order at or below the call's floor, which is an :class:`InvalidOrder`;
+the other classes report numeric failures.
 """
 
 
@@ -13,20 +16,16 @@ class BigQBesselError(Exception):
 # --- qcalc ---------------------------------------------------------------
 
 class InvalidArgument(BigQBesselError, ValueError):
-    """An argument is not finite, or a tolerance is not positive."""
+    """An argument outside the call's domain, named in the message: a
+    number that is not finite or of a foreign type, a tol that is not
+    positive, a base q outside (0, 1), a point where the call is undefined
+    (x = 0 for the q-derivatives and L, z = 0 for the recurrences), a
+    scale a != 1, or a count, index or table the call cannot take."""
 
 
 class DivergentSeries(BigQBesselError):
     """The series cannot converge for the given parameters, or the term
     budget was exhausted before the truncation rule certified a tail."""
-
-
-class ZeroArgument(BigQBesselError):
-    """A difference quotient was requested at x = 0."""
-
-
-class NonPositiveUpperLimit(BigQBesselError):
-    """The q-integral upper limit must be strictly positive."""
 
 
 # --- bqbessel ------------------------------------------------------------
@@ -35,11 +34,6 @@ class InvalidOrder(BigQBesselError):
     """The order alpha is at or below the floor of the operation.  Each
     public entry raises it through qcalc._order before any work, naming
     alpha as the caller passed it."""
-
-
-class ZeroSpectralParameter(BigQBesselError):
-    """A recurrence relation with a 1/lambda^2 prefactor was invoked at
-    z = lambda^2 = 0."""
 
 
 # --- zerofinder ----------------------------------------------------------
@@ -57,25 +51,12 @@ class NoSignChange(BigQBesselError):
 
 # --- orthogonality -------------------------------------------------------
 
-class ScaleMismatch(InvalidArgument):
-    """A lattice signal's scale a is not 1: the zeros and every lattice
-    sum live on the unit lattice {q^m} of [0, 1]."""
-
-
 class NotAZero(BigQBesselError):
     """A closed-form norm was requested at a point that is not a zero of
     J_alpha(1, .; q^2) within tolerance."""
 
 
-class LengthMismatch(BigQBesselError):
-    """Coefficient list and zero table have different lengths."""
-
-
 # --- sampling ------------------------------------------------------------
-
-class IndexOutOfRange(BigQBesselError):
-    """Kernel index outside the zero table."""
-
 
 class AtPole(BigQBesselError):
     """Evaluation point coincides (within tolerance) with a zero of the

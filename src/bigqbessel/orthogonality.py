@@ -45,7 +45,7 @@ import mpmath as mp
 
 from .bqbessel import eval_dJ_dz, eval_J
 from .defaults import DEFAULT_TOL, NOT_A_ZERO_TOL
-from .errors import InvalidArgument, LengthMismatch, NotAZero, ScaleMismatch
+from .errors import InvalidArgument, NotAZero
 from .qcalc import (
     QContext,
     SeriesValue,
@@ -76,7 +76,7 @@ __all__ = [
 class QLatticeSignal:
     """A finitely supported function on the unit lattice {q^k}:
     values[k] = f(q^k) for k = 0..K, zero beyond.  The scale a is kept
-    for the file format; any a other than 1 raises ScaleMismatch."""
+    for the file format; any a other than 1 raises InvalidArgument."""
 
     values: List[float]
     a: float = 1.0
@@ -87,7 +87,7 @@ class QLatticeSignal:
         values = [_arg("values", v) for v in self.values]
         object.__setattr__(self, "values", values)
         if _arg("a", self.a) != 1:
-            raise ScaleMismatch(
+            raise InvalidArgument(
                 f"the zeros and the transform live on the scale-1 lattice; "
                 f"got a={self.a}"
             )
@@ -458,8 +458,8 @@ def fourier_partial_sum(
     """Partial sum sum_k a_k J_{alpha+1}(x, j_k; q^2)."""
     am, x = _order(alpha, -2), _arg("x", x)
     if len(coeffs) != len(table):
-        raise LengthMismatch(
-            f"{len(coeffs)} coefficients vs {len(table)} zeros"
+        raise InvalidArgument(
+            f"coeffs has {len(coeffs)} entries for {len(table)} zeros"
         )
     coeffs = [_arg("coeffs", c) for c in coeffs]
     _check_table(ctx, am, table)

@@ -12,11 +12,11 @@ The binary exponents of a term and of the sum decide most stop tests
 without the mpf comparison: where they show |term| > tol*max(1, |S|),
 the mpf test could only say the same.
 
-Every public entry of L0-L3 passes its caller's arguments through four
-gates before any work: _arg converts each number exactly, _order also
-refuses an order alpha at or below the entry's floor, _tol checks a tol
-and _integer a count.  Each raises a typed error that names the argument
-as passed.
+Every public entry of L0-L3 passes its caller's arguments through five
+gates before any work: _arg converts each number exactly, _base also
+refuses a base q outside (0, 1), _order an order alpha at or below the
+entry's floor, _tol checks a tol and _integer a count.  Each raises a
+typed error that names the argument as passed.
 fused_product_ratio, the q-derivatives, q_integral and jackson_sum (so
 orthogonality.weight too) compute at the caller's precision, and their tol
 sets only the truncation; L1-L3 call them inside their working precision.
@@ -46,13 +46,7 @@ from mpmath.libmp import (
 )
 
 from .defaults import DEFAULT_TOL, GUARD_DIGITS, MIN_DPS, TERMS_MAX
-from .errors import (
-    DivergentSeries,
-    InvalidArgument,
-    InvalidOrder,
-    NonPositiveUpperLimit,
-    ZeroArgument,
-)
+from .errors import DivergentSeries, InvalidArgument, InvalidOrder
 
 __all__ = [
     "QContext",
@@ -76,10 +70,7 @@ class QContext:
     q: float
 
     def __post_init__(self) -> None:
-        if not 0 < _arg("q", self.q) < 1:
-            raise InvalidArgument(
-                f"q must lie strictly in (0, 1); got {self.q}"
-            )
+        _base(self.q)
 
 
 @dataclass(frozen=True)
@@ -120,6 +111,14 @@ def _arg(name: str, v) -> mp.mpf:
             f"got {type(v).__name__} {v!r}"
         )
     raise InvalidArgument(f"{name} must be finite; got {v}")
+
+
+def _base(q) -> mp.mpf:
+    """The base q converted by _arg; InvalidArgument unless 0 < q < 1."""
+    qm = _arg("q", q)
+    if not 0 < qm < 1:
+        raise InvalidArgument(f"q must lie strictly in (0, 1); got {q}")
+    return qm
 
 
 def _order(alpha, floor: float) -> mp.mpf:
@@ -172,9 +171,11 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     (-x^2 q^{e_num}; q^2)_inf / (-x^2 q^{e_den}; q^2)_inf
     as one fused product, avoiding overflow/underflow of the separately
     huge/tiny factors for large x2.  At the caller's precision; tol sets
-    only the truncation.
+    only the truncation.  x2 >= 0: every factor is then at least 1.
     """
-    x2, q = _arg("x2", x2), _arg("q", q)
+    x2, q = _arg("x2", x2), _base(q)
+    if x2 < 0:
+        raise InvalidArgument(f"x2 must be >= 0; got {x2}")
     e_num, e_den = _arg("e_num", e_num), _arg("e_den", e_den)
     tol = _tol(tol)
     e_min = min(e_num, e_den)
@@ -302,25 +303,25 @@ def sum_series(
 def q_derivative(f: Callable, x, q):
     """q-difference quotient (f(x) - f(qx)) / ((1-q) x), at the caller's
     precision."""
-    x, q = _arg("x", x), _arg("q", q)
+    x, q = _arg("x", x), _base(q)
     if x == 0:
-        raise ZeroArgument("q_derivative is undefined at x = 0")
+        raise InvalidArgument("q_derivative is undefined at x = 0")
     return (_arg("f(x)", f(x)) - _arg("f(x)", f(q * x))) / ((1 - q) * x)
 
 
 def q_derivative_inv(f: Callable, x, q):
     """Inverse-base difference quotient (f(x) - f(x/q)) / ((1 - 1/q) x), at
     the caller's precision."""
-    x, q = _arg("x", x), _arg("q", q)
+    x, q = _arg("x", x), _base(q)
     if x == 0:
-        raise ZeroArgument("q_derivative_inv is undefined at x = 0")
+        raise InvalidArgument("q_derivative_inv is undefined at x = 0")
     return (_arg("f(x)", f(x)) - _arg("f(x)", f(x / q))) / ((1 - 1 / q) * x)
 
 
 def q_integral(f: Callable, a, q, tol: float = DEFAULT_TOL) -> SeriesValue:
     """Jackson q-integral (1-q) a sum_n f(a q^n) q^n over [0, a], with the
     tail rule of jackson_sum, at the caller's precision."""
-    a, q = _arg("a", a), _arg("q", q)
+    a, q = _arg("a", a), _base(q)
     return jackson_sum(lambda n: _arg("f(x)", f(a * q**n)), a, q, _tol(tol))
 
 
@@ -339,7 +340,7 @@ def jackson_sum(
     The public entry converts a, q and the samples and checks tol.
     """
     if a <= 0:
-        raise NonPositiveUpperLimit(f"upper limit must be positive; got {a}")
+        raise InvalidArgument(f"upper limit a must be positive; got {a}")
     head = [sample(n) for n in range(64)]
     sup = 2 * max(abs(v) for v in head)
     s = mp.mpf(0)
@@ -356,5 +357,5 @@ def jackson_sum(
         if tail < tol:
             break
     else:
-        raise DivergentSeries("q_integral tail bound not reached")
+        raise DivergentSeries("Jackson sum tail bound not reached")
     return SeriesValue((1 - q) * a * s, (1 - q) * tail, n)

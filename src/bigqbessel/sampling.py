@@ -29,7 +29,7 @@ import mpmath as mp
 
 from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
-from .errors import AtPole, IndexOutOfRange, InvalidArgument
+from .errors import AtPole, InvalidArgument
 from .orthogonality import QLatticeSignal, _check_table, _lattice
 from .qcalc import QContext, SeriesValue, _arg, _integer, _order, _workdigits
 from .zerofinder import ZeroTable
@@ -125,8 +125,8 @@ def sampling_kernel(
     k = _integer("k", k, None)
     _warn_order(alpha)
     if not 0 <= k < len(table):
-        raise IndexOutOfRange(
-            f"kernel index {k} outside table of {len(table)} zeros"
+        raise InvalidArgument(
+            f"kernel index k = {k} outside table of {len(table)} zeros"
         )
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):

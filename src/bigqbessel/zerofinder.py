@@ -258,8 +258,11 @@ def find_zeros(
 
     tol is the absolute residual target on |J| at each accepted zero.  The
     scan starts at z = Z_START and steps by rho = q^RHO_EXPONENT unless rho
-    (> 1) is given; a zero whose |dJ/dlambda| is below SIMPLICITY_FLOOR is not
-    accepted as simple.
+    (> 1) is given; a zero whose |lambda dJ/dlambda| is below
+    SIMPLICITY_FLOOR is not accepted as simple.  The floor is set on
+    lambda dJ/dlambda, not on dJ/dlambda: at large alpha or tiny q the
+    first zero lies far out (j_1 = 1.5e15 at q = 1/2, alpha = 50), where
+    lambda dJ/dlambda is still near -2 but dJ/dlambda falls like 1/lambda.
     """
     am = _order(alpha, -0.5)  # the zero ordering needs alpha > -1/2
     count = _integer("count", count)
@@ -313,16 +316,17 @@ def find_zeros(
                     brackets.extend(inner or [(sub_z[i], sub_z[i + 1])])
             for zl, zr in brackets:
                 z_star, deriv, g_star = refine_zero(ctx, am, zl, zr, tol)
-                if abs(deriv) < SIMPLICITY_FLOOR:
-                    raise BracketingFailure(
-                        f"derivative {mp.nstr(deriv)} below the simplicity "
-                        f"floor at z = {mp.nstr(z_star)}"
-                    )
                 # Take the square root at (at least) the precision the
                 # refined root carries, not at the scan's 53 bits.
                 root_prec = max(mp.mp.prec, z_star._mpf_[1].bit_length() + 10)
                 with mp.workprec(root_prec):
                     lam_star = mp.sqrt(z_star)
+                if abs(lam_star * deriv) < SIMPLICITY_FLOOR:
+                    raise BracketingFailure(
+                        f"lambda dJ/dlambda = {mp.nstr(lam_star * deriv)} "
+                        "below the simplicity floor at z = "
+                        f"{mp.nstr(z_star)}"
+                    )
                 zeros.append(lam_star)
                 derivs.append(deriv)
                 residuals.append(abs(g_star))

@@ -21,6 +21,7 @@ from bigqbessel import (
     ReconstructionReport,
     SeriesValue,
     ZeroTable,
+    apply_L,
     eval_J,
     find_zeros,
     fourier_coefficients,
@@ -35,13 +36,7 @@ from bigqbessel import (
     weight,
 )
 from bigqbessel import bqbessel
-from bigqbessel.errors import (
-    BigQBesselError,
-    InvalidArgument,
-    InvalidOrder,
-    NonPositiveUpperLimit,
-    ZeroArgument,
-)
+from bigqbessel.errors import BigQBesselError, InvalidArgument, InvalidOrder
 
 
 def test_qcontext_validates_q():
@@ -82,9 +77,9 @@ def test_q_derivative_inv_polynomial_exact():
 
 
 def test_q_derivative_zero_argument():
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(InvalidArgument, match=r"\bx\b"):
         q_derivative(lambda t: t, 0.0, 0.5)
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(InvalidArgument, match=r"\bx\b"):
         q_derivative_inv(lambda t: t, 0.0, 0.5)
 
 
@@ -106,9 +101,9 @@ def test_q_integral_scales_with_upper_limit():
 
 
 def test_q_integral_rejects_bad_limit():
-    with pytest.raises(NonPositiveUpperLimit):
+    with pytest.raises(InvalidArgument, match=r"\ba\b"):
         q_integral(lambda x: x, 0, 0.5)
-    with pytest.raises(NonPositiveUpperLimit):
+    with pytest.raises(InvalidArgument, match=r"\ba\b"):
         q_integral(lambda x: x, -1, 0.5)
 
 
@@ -120,6 +115,11 @@ def test_series_value_float_conversion():
 NAN = math.nan
 NO_ZEROS = ZeroTable(0.5, 0.0)
 SIGNAL = QLatticeSignal([1.0, 0.5])
+
+
+def _square(t):
+    return t * t
+
 
 INVALID_AT_THE_EDGE = {
     "fused_product_ratio(nan)": lambda: fused_product_ratio(NAN, 2, 4, 0.5),
@@ -147,16 +147,49 @@ INVALID_AT_THE_EDGE = {
     "reconstruct(no zeros)": (
         lambda: reconstruct(QContext(0.5), 0.0, SIGNAL, NO_ZEROS, [1.0])
     ),
+    # the raw-q primitives state QContext's 0 < q < 1
+    "q_derivative(q=1)": lambda: q_derivative(_square, 0.7, 1.0),
+    "q_derivative(q=-1)": lambda: q_derivative(_square, 0.7, -1.0),
+    "q_derivative_inv(q=1)": lambda: q_derivative_inv(_square, 0.7, 1.0),
+    "q_derivative_inv(q=0)": lambda: q_derivative_inv(_square, 0.7, 0.0),
+    "q_integral(q=-0.5)": lambda: q_integral(_square, 1.0, -0.5),
+    "fused_product_ratio(q=0)": lambda: fused_product_ratio(2.0, -1, 4, 0.0),
+    "fused_product_ratio(q=1)": lambda: fused_product_ratio(2.0, 2, 4, 1.0),
+    # points where the call is undefined, refused before any division
+    "fused_product_ratio(x2=-4)": (
+        lambda: fused_product_ratio(-4.0, 0, 2, 0.5)
+    ),
+    "apply_L(x=0)": lambda: apply_L(QContext(0.5), 0, _square, 0.0),
+    "identity_residual(eigenfunction, x=0)": (
+        lambda: identity_residual(QContext(0.5), "eigenfunction", 0, 0.0, 1.0)
+    ),
+}
+
+# the argument that each domain refusal above names
+REFUSED_ARGUMENT = {
+    "q_derivative(q=1)": "q",
+    "q_derivative(q=-1)": "q",
+    "q_derivative_inv(q=1)": "q",
+    "q_derivative_inv(q=0)": "q",
+    "q_integral(q=-0.5)": "q",
+    "fused_product_ratio(q=0)": "q",
+    "fused_product_ratio(q=1)": "q",
+    "fused_product_ratio(x2=-4)": "x2",
+    "apply_L(x=0)": "x",
+    "identity_residual(eigenfunction, x=0)": "x",
 }
 
 
-@pytest.mark.parametrize("call", INVALID_AT_THE_EDGE.values(),
+@pytest.mark.parametrize("name,call", INVALID_AT_THE_EDGE.items(),
                          ids=INVALID_AT_THE_EDGE.keys())
-def test_invalid_argument_is_typed_and_immediate(call):
+def test_invalid_argument_is_typed_and_immediate(name, call):
     # a NaN or out-of-range argument is reported as such at once, not as
     # a product or sum that ran out of terms, nor as a bare ValueError
-    with pytest.raises(InvalidArgument):
+    # or ZeroDivisionError
+    with pytest.raises(InvalidArgument) as info:
         call()
+    if name in REFUSED_ARGUMENT:
+        assert re.search(rf"\b{REFUSED_ARGUMENT[name]}\b", str(info.value))
 
 
 INVALID_AT_CONSTRUCTION = {
@@ -298,6 +331,48 @@ def _numeric_arguments():
 
 
 NUMERIC_ARGUMENTS = _numeric_arguments()
+
+
+# Arguments at the edge of their domain: each of these parameters of a
+# valid call is set to 0 in turn, a bare q to 0 and to 1, and every
+# identity kind is taken at x = 0 and at z = 0.  Each call returns, or
+# raises the library's own error, never a bare ZeroDivisionError.
+EDGE_PARAMETERS = {
+    "x", "z", "x2", "lam", "mu", "zero", "deriv", "k", "z_lo", "z_hi",
+    "J_prev", "J_curr", "a",
+}
+
+
+def _edge_calls():
+    calls = {}
+    for name, kwargs in VALID_CALLS.items():
+        for param in kwargs:
+            edges = (
+                (0, 1) if param == "q"
+                else (0,) if param in EDGE_PARAMETERS
+                else ()
+            )
+            for v in edges:
+                calls[f"{name}({param}={v})"] = (name, {**kwargs, param: v})
+    for kind in bqbessel.IDENTITY_KINDS:
+        for param in ("x", "z"):
+            kwargs = {**VALID_CALLS["identity_residual"], "kind": kind}
+            calls[f"identity_residual[{kind}]({param}=0)"] = (
+                "identity_residual", {**kwargs, param: 0}
+            )
+    return calls
+
+
+EDGE_CALLS = _edge_calls()
+
+
+@pytest.mark.parametrize("name,arguments", EDGE_CALLS.values(),
+                         ids=EDGE_CALLS.keys())
+def test_an_edge_argument_returns_or_raises_a_library_error(name, arguments):
+    try:
+        getattr(bigqbessel, name)(**arguments)
+    except BigQBesselError:
+        pass
 
 
 def test_every_public_entry_has_a_valid_call():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bigqbessel import QContext, ZeroTable, eval_J, find_zeros, refine_zero
 from bigqbessel import zerofinder
 from bigqbessel.bqbessel import _j_sign
-from bigqbessel.defaults import SUBDIVISIONS
+from bigqbessel.defaults import RESIDUAL_TOL, SUBDIVISIONS
 from bigqbessel.errors import (
     BracketingFailure,
     InvalidArgument,
@@ -407,11 +407,36 @@ def test_a_tiny_q_declines_the_double_sum_and_stays_typed():
     bqbessel._float_rows.cache_clear()
     for _ in range(2):
         assert bqbessel._j_sum(-0.9, 2.0, 1e-200) is None
+    _assert_one_simple_zero(1e-320, -0.49)
     for _ in range(2):
-        with pytest.raises(BracketingFailure):
-            find_zeros(QContext(1e-320), -0.49, 1)
         with pytest.raises(NoSignChange):
             refine_zero(QContext(1e-200), -0.9, 1.0, 2.0)
+
+
+def _assert_one_simple_zero(q, alpha):
+    """find_zeros(QContext(q), alpha, 1) gives the same bits on two calls,
+    J changes sign across j^2 (1 -+ 1e-8), and the residual meets
+    RESIDUAL_TOL."""
+    tables = [find_zeros(QContext(q), alpha, 1) for _ in range(2)]
+    bits = [
+        [v._mpf_ for v in t.zeros + t.derivs + t.residuals] for t in tables
+    ]
+    assert len(tables[0]) == 1 and bits[0] == bits[1]
+    j = tables[0].zeros[0]
+    ends = [
+        eval_J(QContext(q), alpha, 1, j * j * (1 + s * mp.mpf("1e-8")), 1e-30)
+        for s in (-1, 1)
+    ]
+    assert all(abs(sv.value) > sv.abs_error for sv in ends)
+    assert ends[0].value * ends[1].value < 0
+    assert tables[0].residuals[0] <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("q,alpha", [(0.5, 50), (0.5, 100), (0.5, 300)])
+def test_a_far_first_zero_is_accepted_as_simple(q, alpha):
+    # j_1 is 1.5e15 at alpha = 50: dJ/dlambda there is about -2 / j_1,
+    # below the simplicity floor, while lambda dJ/dlambda is not
+    _assert_one_simple_zero(q, alpha)
 
 
 def _off_grid(v):
