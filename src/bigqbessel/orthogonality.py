@@ -29,9 +29,12 @@ _LATTICE_SLOTS keys used last), so that calls on one zero table share the
 powers q^m, the weights, the columns J_{alpha+1}(q^m, j_k) of the zero
 family (_Lattice.basis; the _BASIS_SLOTS zeros used last per lattice) and
 the constants C and W(1) of the closed forms (_Lattice.closed).  Each
-value is the same mpmath operation on the same operands at the same
-precision as when a call computed it itself, so every result is
-bit-identical to a fresh computation's.
+zero's column also holds its closed-form norm for the deriv it was given
+(norm_sq_closed) and its Gram integrals against the other kept columns
+(_Lattice.gram), so these go when the column goes; a point that is not a
+zero keeps nothing.  Each value is the same mpmath operation on the same
+operands at the same precision as when a call computed it itself, so
+every result is bit-identical to a fresh computation's.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .qcalc import (
     QContext,
     SeriesValue,
     _arg,
+    _numbers,
     _order,
     _tol,
     _workdigits,
@@ -82,9 +86,9 @@ class QLatticeSignal:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
+        values = _numbers("values", self.values)
+        if len(values) < 1:
             raise InvalidArgument("signal needs at least one lattice value")
-        values = [_arg("values", v) for v in self.values]
         object.__setattr__(self, "values", values)
         if _arg("a", self.a) != 1:
             raise InvalidArgument(
@@ -138,7 +142,7 @@ class _Lattice:
     are each computed once, when first needed.  column(z) gives a column
     for one call; basis(zero) gives the zero family's column at z = zero^2
     from the _BASIS_SLOTS zeros used last, so calls on one zero table
-    share it.
+    share it, and gram(f, g) the Gram integral of two such columns.
     """
 
     def __init__(self, ctx: QContext, alpha, tol: float) -> None:
@@ -174,14 +178,28 @@ class _Lattice:
 
     def basis(self, zero) -> "_Column":
         """m -> J_{alpha+1}(q^m, zero^2), the column kept for zero (by
-        value) while it is among the _BASIS_SLOTS zeros used last."""
+        value) while it is among the _BASIS_SLOTS zeros used last.  An
+        evicted column takes its norm and its Gram integrals with it, and
+        the integrals that the kept columns hold against it."""
         col = self._basis.pop(zero, None)
         if col is None:
             col = self.column(zero * zero)
         self._basis[zero] = col
         if len(self._basis) > _BASIS_SLOTS:
-            self._basis.popitem(last=False)
+            _, gone = self._basis.popitem(last=False)
+            for kept in self._basis.values():
+                kept.grams.pop(gone._z, None)
         return col
+
+    def gram(self, f: "_Column", g: "_Column") -> mp.mpf:
+        """integral(f, g).value of two basis columns, kept with f while g
+        is kept too."""
+        v = f.grams.get(g._z)
+        if v is None:
+            v = self.integral(f, g).value
+            if g in self._basis.values():
+                f.grams[g._z] = v
+        return v
 
     def integral(self, f, g) -> SeriesValue:
         """(1-q) sum_m ((w(q^m) f[m]) g[m]) q^m.
@@ -222,6 +240,11 @@ class _Column:
         self._lattice = lattice
         self._z = z
         self._values: List = []
+        # a basis column's (deriv, norm_sq_closed) and its Gram integrals
+        # integral(self, g).value by g._z, kept by norm_sq_closed and
+        # _Lattice.gram
+        self.norm = (None, None)
+        self.grams: Dict[mp.mpf, mp.mpf] = {}
 
     def __getitem__(self, m: int) -> mp.mpf:
         values = self._values
@@ -236,20 +259,26 @@ class _Column:
 
 
 # The memo of lattices (_lattice) holds the _LATTICE_SLOTS keys (q, alpha,
-# tol, precision, rounding) used last, and each lattice the zero family's columns of the _BASIS_SLOTS zeros used
-# last (both LRU).  L1 calls per round of the benchmark's lattice workload
-# (seed 1, rounds 1-4; requests on 4-20 zeros of two 20-zero tables, one
-# memo key each) and the memo's size after round 5 (tracemalloc, before and
-# after clearing it), by slot counts:
+# tol, precision, rounding) used last, and each lattice the zero family's
+# columns, with their norms and Gram integrals, of the _BASIS_SLOTS zeros
+# used last (both LRU).  L1 calls (eval_J and eval_dJ_dz) per round of the
+# benchmark's lattice workload (seed 1, rounds 1-4; requests on 4-20 zeros
+# of two 20-zero tables, one memo key each) and the memo's size after round
+# 5 (tracemalloc, before and after clearing it), by slot counts:
 #
 #     lattices  columns    L1 calls per round        memo
-#         4         0      2510  1981  2307  2077    0.09 MB
-#         4         8      2382  1564  2015  1920    0.16 MB
-#         4        16      2085   664  1116  1014    0.33 MB
-#         4        20      1889   514   425   412    0.36 MB
-#         4        24      1889   514   425   412    0.36 MB
-#         1        24      2098  1881  1954  1596       —
-#         2        24      1889   514   425   412    0.36 MB
+#         4         0      2550  2037  2359  2121    0.05 MB
+#         4         8      2422  1596  2031  1964    0.10 MB
+#         4        16      2077   576  1054   962    0.29 MB
+#         4        20      1881   426   321   324    0.32 MB
+#         4        24      1881   426   321   324    0.32 MB
+#         1        24      2090  1937  1970  1640    0.01 MB
+#         2        24      1881   426   321   324    0.32 MB
+#
+# Without the norms and Gram integrals the 4/24 row read 1929 570 477 456;
+# of its 0.32 MB they hold 0.015 MB (16 norms, 42 integrals).  They save
+# more time than L1 calls: a Gram integral makes no L1 call, but sums at
+# least 64 weighted products.
 #
 # The columns are sized for tables of up to 24 zeros: a request that sweeps
 # more zeros in order than there are slots evicts each column before it is
@@ -368,6 +397,10 @@ def norm_sq_closed(
     am, q = _order(alpha, -1), _arg("q", ctx.q)
     zero, deriv = _arg("zero", zero), _arg("deriv", deriv)
     with mp.workdps(_workdigits(tol)):
+        lat = _lattice(ctx, am, tol)
+        kept = lat._basis.get(zero)
+        if kept is not None and kept.norm[0] == deriv:
+            return kept.norm[1]
         z = zero * zero
         resid = abs(eval_J(ctx, am, 1, z, tol).value)
         if resid > NOT_A_ZERO_TOL:
@@ -377,13 +410,15 @@ def norm_sq_closed(
                 f"|J_alpha(a, {mp.nstr(zero)})| = {mp.nstr(resid)} exceeds "
                 f"{NOT_A_ZERO_TOL}"
             )
-        C, W = _lattice(ctx, am, tol).closed
+        C, W = lat.closed
         jp_aq = eval_J(ctx, am + 1, 1 / q, z, tol).value
         jp0 = eval_J(ctx, am + 1, 0, z, tol).value
         jm0 = eval_J(ctx, am, 0, z, tol).value
         djm0 = 2 * zero * eval_dJ_dz(ctx, am, 0, z, tol).value
         djp0 = 2 * zero * eval_dJ_dz(ctx, am + 1, 0, z, tol).value
-        return -C / (2 * zero) * (W * jp_aq * deriv - jp0 * djm0 + djp0 * jm0)
+        norm = -C / (2 * zero) * (W * jp_aq * deriv - jp0 * djm0 + djp0 * jm0)
+        lat.basis(zero).norm = (deriv, norm)
+        return norm
 
 
 def gram_matrix(
@@ -408,7 +443,7 @@ def gram_matrix(
         mat = [[mp.mpf(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = lat.integral(cols[i], cols[j]).value
+                v = lat.gram(cols[i], cols[j])
                 mat[i][j] = v
                 mat[j][i] = v
         norms = [
@@ -457,11 +492,11 @@ def fourier_partial_sum(
 ):
     """Partial sum sum_k a_k J_{alpha+1}(x, j_k; q^2)."""
     am, x = _order(alpha, -2), _arg("x", x)
+    coeffs = _numbers("coeffs", coeffs)
     if len(coeffs) != len(table):
         raise InvalidArgument(
             f"coeffs has {len(coeffs)} entries for {len(table)} zeros"
         )
-    coeffs = [_arg("coeffs", c) for c in coeffs]
     _check_table(ctx, am, table)
     with mp.workdps(_workdigits(tol)):
         s = mp.mpf(0)

@@ -12,11 +12,12 @@ The binary exponents of a term and of the sum decide most stop tests
 without the mpf comparison: where they show |term| > tol*max(1, |S|),
 the mpf test could only say the same.
 
-Every public entry of L0-L3 passes its caller's arguments through five
-gates before any work: _arg converts each number exactly, _base also
-refuses a base q outside (0, 1), _order an order alpha at or below the
-entry's floor, _tol checks a tol and _integer a count.  Each raises a
-typed error that names the argument as passed.
+Every public entry of L0-L3 passes its caller's arguments through six
+gates before any work: _arg converts each number exactly and _numbers
+each entry of a list, _base also refuses a base q outside (0, 1), _order
+an order alpha at or below the entry's floor, _tol checks a tol and
+_integer a count.  Each raises a typed error that names the argument as
+passed.
 fused_product_ratio, the q-derivatives, q_integral and jackson_sum (so
 orthogonality.weight too) compute at the caller's precision, and their tol
 sets only the truncation; L1-L3 call them inside their working precision.
@@ -111,6 +112,18 @@ def _arg(name: str, v) -> mp.mpf:
             f"got {type(v).__name__} {v!r}"
         )
     raise InvalidArgument(f"{name} must be finite; got {v}")
+
+
+def _numbers(name: str, v) -> list:
+    """The entries of the caller's list v, each converted by _arg; a v
+    that is not iterable raises InvalidArgument naming the argument."""
+    try:
+        entries = iter(v)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be a list of numbers; got {type(v).__name__} {v!r}"
+        ) from None
+    return [_arg(name, e) for e in entries]
 
 
 def _base(q) -> mp.mpf:

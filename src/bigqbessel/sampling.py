@@ -31,7 +31,15 @@ from .bqbessel import eval_J
 from .defaults import DEFAULT_TOL, KERNEL_POLE_WIDTH
 from .errors import AtPole, InvalidArgument
 from .orthogonality import QLatticeSignal, _check_table, _lattice
-from .qcalc import QContext, SeriesValue, _arg, _integer, _order, _workdigits
+from .qcalc import (
+    QContext,
+    SeriesValue,
+    _arg,
+    _integer,
+    _numbers,
+    _order,
+    _workdigits,
+)
 from .zerofinder import ZeroTable
 
 __all__ = [
@@ -146,7 +154,7 @@ def reconstruct(
     """Sampling reconstruction of the transform of f from its values at the
     zeros, compared point-wise against the directly computed transform."""
     alpha = _order(alpha, -1)
-    lams = [_arg("lambdas", v) for v in lambdas]
+    lams = _numbers("lambdas", lambdas)
     _warn_order(alpha)
     if len(table) < 1:
         raise InvalidArgument("zero table must contain at least one zero")

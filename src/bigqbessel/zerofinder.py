@@ -49,7 +49,7 @@ from .defaults import (
 )
 from .bqbessel import _j_sign, _j_sum, eval_dJ_dz, eval_J
 from .errors import BracketingFailure, InvalidArgument, NoSignChange
-from .qcalc import QContext, _arg, _integer, _order, _tol
+from .qcalc import QContext, _arg, _integer, _numbers, _order, _tol
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
 
@@ -68,14 +68,13 @@ class ZeroTable:
     def __post_init__(self) -> None:
         _arg("q", self.q)
         _arg("alpha", self.alpha)
+        for name in ("zeros", "derivs", "residuals"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name)))
         n = len(self.zeros)
         if len(self.derivs) != n or len(self.residuals) != n:
             raise InvalidArgument(
                 "zeros, derivs, residuals must have equal length"
             )
-        for name in ("zeros", "derivs", "residuals"):
-            entries = [_arg(name, v) for v in getattr(self, name)]
-            object.__setattr__(self, name, entries)
         for a, b in zip(self.zeros, self.zeros[1:]):
             if not a < b:
                 raise InvalidArgument("zeros must be strictly increasing")
@@ -86,7 +85,9 @@ class ZeroTable:
         return len(self.zeros)
 
     def head(self, n: int) -> "ZeroTable":
-        """The sub-table of the first n zeros (for truncation studies)."""
+        """The sub-table of the first n zeros (for truncation studies): n
+        is an int >= 0, and an n past the last zero takes them all."""
+        n = _integer("n", n, 0)
         return ZeroTable(
             self.q,
             self.alpha,

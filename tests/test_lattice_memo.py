@@ -1,7 +1,8 @@
-"""The L3 memo of lattices and of the zero family's columns: a result read
-from a warm memo equals the one computed from a cold memo bit for bit,
-keys compare by value, the memo stays within its slots, and calls on one
-zero table stop evaluating the table's columns again.
+"""The L3 memo of lattices and of the zero family's columns, norms and
+Gram integrals: a result read from a warm memo equals the one computed
+from a cold memo bit for bit, keys compare by value, the memo stays
+within its slots, and calls on one zero table stop evaluating the table's
+columns and norms again.
 """
 
 import mpmath as mp
@@ -15,11 +16,13 @@ from bigqbessel import (
     fourier_coefficients,
     gram_matrix,
     inner_product,
+    norm_sq_closed,
     orthogonality,
     q_hankel_transform,
     reconstruct,
     sampling,
 )
+from bigqbessel.errors import NotAZero
 from bigqbessel.qcalc import _workdigits
 
 F = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125], a=1.0)
@@ -53,6 +56,7 @@ def _requests(tables):
         rows = [
             [
                 (gram_matrix, ctx, alpha, t.head(3), tol),
+                (norm_sq_closed, ctx, alpha, t.zeros[1], t.derivs[1], tol),
                 (fourier_coefficients, ctx, alpha, F, t, tol),
                 (reconstruct, ctx, alpha, F, t, [0.7, 2.9], tol),
                 (closed_sum_check, ctx, alpha, t, 0.7, tol),
@@ -125,15 +129,40 @@ def test_memo_stays_within_its_slots_and_rebuilds_the_same_bits(
             assert len(_lattice(q, alpha, tol)._basis) == 3
 
 
-def _count_eval_J(monkeypatch):
-    """The (order, x, z) of every eval_J call of the L3 modules."""
-    calls = []
-    for mod in (orthogonality, sampling):
-        def counted(ctx, order, x, z, tol, _eval_J=mod.eval_J):
-            calls.append((mp.mpf(order), mp.mpf(x), mp.mpf(z)))
-            return _eval_J(ctx, order, x, z, tol)
+def test_column_slots_bound_the_norms_and_gram_integrals(tables, monkeypatch):
+    # a norm and the Gram integrals go with their zero's column; a Gram of
+    # more zeros than slots keeps no integral against an evicted column
+    monkeypatch.setattr(orthogonality, "_BASIS_SLOTS", 3)
+    ctx, t = QContext(0.5), tables[0.5, 0.0]
+    orthogonality._memo.cache_clear()
+    first = _bits(gram_matrix(ctx, 0.0, t))
+    for n in (2, 3, 5, 4, 5):
+        report = _bits(gram_matrix(ctx, 0.0, t.head(n)))
+        assert report["norm_closed"] == first["norm_closed"][:n]
+        assert report["matrix"] == [row[:n] for row in first["matrix"][:n]]
+        basis = _lattice(0.5, 0.0, 1e-13)._basis
+        assert len(basis) == 3
+        # the norms live on the 3 kept columns, their integrals against them
+        kept = {col._z for col in basis.values()}
+        for col in basis.values():
+            assert set(col.grams) <= kept
 
-        monkeypatch.setattr(mod, "eval_J", counted)
+
+def _count_eval_J(monkeypatch):
+    """The (order, x, z) of every eval_J call of the L3 modules, and of
+    every eval_dJ_dz call of the closed-form norms."""
+    calls = []
+
+    def count(mod, name):
+        def counted(ctx, order, x, z, tol, _f=getattr(mod, name)):
+            calls.append((mp.mpf(order), mp.mpf(x), mp.mpf(z)))
+            return _f(ctx, order, x, z, tol)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    for mod in (orthogonality, sampling):
+        count(mod, "eval_J")
+    count(orthogonality, "eval_dJ_dz")
     return calls
 
 
@@ -151,7 +180,30 @@ def test_second_gram_evaluates_no_column(tables, monkeypatch):
     assert len(column_calls()) >= 64 * len(t)
     del calls[:]
     assert _bits(gram_matrix(ctx, 1.0, t)) == first
-    assert calls and column_calls() == []
+    assert calls == []
+
+
+def test_fourier_after_gram_evaluates_no_norm(tables, monkeypatch):
+    calls = _count_eval_J(monkeypatch)
+    ctx, t = QContext(0.5), tables[0.5, 0.0]
+    orthogonality._memo.cache_clear()
+    gram_matrix(ctx, 0.0, t.head(4))
+    del calls[:]
+    # F's 4 lattice points lie within the columns' 64 Gram entries
+    fourier_coefficients(ctx, 0.0, F, t.head(4))
+    assert calls == []
+
+
+def test_a_non_zero_raises_each_time_and_keeps_no_norm(monkeypatch):
+    calls = _count_eval_J(monkeypatch)
+    ctx = QContext(0.5)
+    orthogonality._memo.cache_clear()
+    for _ in range(2):
+        del calls[:]
+        with pytest.raises(NotAZero):
+            norm_sq_closed(ctx, 0.0, 0.9, 1.0)
+        assert calls  # the residual is evaluated again
+    assert len(_lattice(0.5, 0.0, 1e-13)._basis) == 0
 
 
 def test_closed_sum_after_reconstruct_evaluates_its_lambda_only(

@@ -448,6 +448,49 @@ def test_a_bad_number_is_refused_by_name(name, param, arguments, replace):
         assert re.match(rf"{param}\b", str(info.value)), (bad, info.value)
 
 
+# Every list of numbers of the valid calls, each replaced in turn by a
+# number and by None: the call raises InvalidArgument naming the list, not
+# a bare TypeError from len() or iteration.
+LIST_ARGUMENTS = [
+    (name, param, kwargs)
+    for name, kwargs in VALID_CALLS.items()
+    for param, v in kwargs.items()
+    if isinstance(v, list)
+]
+
+
+def test_the_walk_finds_every_list_parameter():
+    assert {param for _, param, _ in LIST_ARGUMENTS} == {
+        "values", "zeros", "derivs", "residuals", "coeffs", "lambdas"
+    }
+
+
+@pytest.mark.parametrize(
+    "name,param,arguments",
+    LIST_ARGUMENTS,
+    ids=[f"{n}({p})" for n, p, _ in LIST_ARGUMENTS],
+)
+def test_a_list_argument_that_is_no_list_is_refused_by_name(
+    name, param, arguments
+):
+    for bad in (0.7, None):
+        with pytest.raises(InvalidArgument) as info:
+            getattr(bigqbessel, name)(**{**arguments, param: bad})
+        assert re.match(rf"{param}\b", str(info.value)), (bad, info.value)
+
+
+@pytest.mark.parametrize("n", [-1, True, None, 1.5, "2"])
+def test_head_takes_a_count_of_zeros_only(n):
+    with pytest.raises(InvalidArgument) as info:
+        TABLE.head(n)
+    assert re.match(r"n\b", str(info.value)), info.value
+
+
+def test_head_takes_zero_and_any_count_beyond_the_table():
+    assert len(TABLE.head(0)) == 0
+    assert TABLE.head(2) == TABLE
+
+
 # The order floor of every public function that takes alpha: the orders at
 # and below it raise InvalidOrder before any work.  It is at least the
 # floor of every J the function evaluates: J_alpha needs alpha > -1, so
