@@ -39,7 +39,7 @@ def main() -> None:
     table_tol = 10.0 ** (-args.digits - 10)
     sum_tol = 10.0 ** (-args.digits)
     table = find_zeros(ctx, args.alpha, max(args.counts), tol=table_tol)
-    f = QLatticeSignal(values=args.values, a=1.0)
+    f = QLatticeSignal(values=args.values)
 
     print(f"# q={args.q} alpha={args.alpha} digits={args.digits}")
     print(f"{'N':>4}  {'max rel error':>14}")

@@ -78,7 +78,7 @@ def _load(path: str, from_dict):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return from_dict(_jsonio.loads(fh.read()))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -20,7 +20,8 @@ class InvalidArgument(BigQBesselError, ValueError):
     number that is not finite or of a foreign type, a tol that is not
     positive, a base q outside (0, 1), a point where the call is undefined
     (x = 0 for the q-derivatives and L, z = 0 for the recurrences), a
-    scale a != 1, or a count, index or table the call cannot take."""
+    scale a != 1, a count, index or table the call cannot take, or a
+    document that is not an object or lacks a field."""
 
 
 class DivergentSeries(BigQBesselError):
@@ -39,9 +40,10 @@ class InvalidOrder(BigQBesselError):
 # --- zerofinder ----------------------------------------------------------
 
 class BracketingFailure(BigQBesselError):
-    """The geometric scan ceiling was reached before the requested number
-    of zeros was bracketed.  This signals that the scan ceiling must be
-    raised, not that the zeros do not exist."""
+    """The scan ceiling, SCAN_MAX_STEPS steps or about 4 000 zeros, was
+    reached before the requested number of zeros was bracketed, or a
+    bracketed zero was not simple or not polished to its residual
+    target."""
 
 
 class NoSignChange(BigQBesselError):

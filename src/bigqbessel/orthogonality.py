@@ -53,6 +53,7 @@ from .qcalc import (
     QContext,
     SeriesValue,
     _arg,
+    _fields,
     _numbers,
     _order,
     _tol,
@@ -79,32 +80,32 @@ __all__ = [
 @dataclass(frozen=True)
 class QLatticeSignal:
     """A finitely supported function on the unit lattice {q^k}:
-    values[k] = f(q^k) for k = 0..K, zero beyond.  The scale a is kept
-    for the file format; any a other than 1 raises InvalidArgument."""
+    values[k] = f(q^k) for k = 0..K, zero beyond.  Its document also
+    carries the lattice scale a, which from_dict refuses unless it is 1."""
 
     values: List[float]
-    a: float = 1.0
 
     def __post_init__(self) -> None:
         values = _numbers("values", self.values)
         if len(values) < 1:
             raise InvalidArgument("signal needs at least one lattice value")
         object.__setattr__(self, "values", values)
-        if _arg("a", self.a) != 1:
-            raise InvalidArgument(
-                f"the zeros and the transform live on the scale-1 lattice; "
-                f"got a={self.a}"
-            )
 
     def __len__(self) -> int:
         return len(self.values)
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "values": list(self.values)}
+        return {"a": 1.0, "values": list(self.values)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "QLatticeSignal":
-        return cls(values=d["values"], a=float(_arg("a", d["a"])))
+        a, values = _fields(d, ("a", "values"))
+        if _arg("a", a) != 1:
+            raise InvalidArgument(
+                f"the zeros and the transform live on the scale-1 lattice; "
+                f"got a={float(a)}"
+            )
+        return cls(values)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ gates before any work: _arg converts each number exactly and _numbers
 each entry of a list, _base also refuses a base q outside (0, 1), _order
 an order alpha at or below the entry's floor, _tol checks a tol and
 _integer a count.  Each raises a typed error that names the argument as
-passed.
+passed.  The two file-document readers take their fields through _fields.
 fused_product_ratio, the q-derivatives, q_integral and jackson_sum (so
 orthogonality.weight too) compute at the caller's precision, and their tol
 sets only the truncation; L1-L3 call them inside their working precision.
@@ -124,6 +124,20 @@ def _numbers(name: str, v) -> list:
             f"{name} must be a list of numbers; got {type(v).__name__} {v!r}"
         ) from None
     return [_arg(name, e) for e in entries]
+
+
+def _fields(d, names) -> list:
+    """The values of the named fields of the document d, in order; a d
+    that is not an object (a dict), or that lacks one of the fields,
+    raises InvalidArgument saying so."""
+    if not isinstance(d, dict):
+        raise InvalidArgument(
+            f"document must be an object; got {type(d).__name__}"
+        )
+    for name in names:
+        if name not in d:
+            raise InvalidArgument(f"document lacks the field {name}")
+    return [d[name] for name in names]
 
 
 def _base(q) -> mp.mpf:

@@ -74,6 +74,8 @@ class ReconstructionReport:
     terms: int
 
     def __post_init__(self) -> None:
+        for name in ("lambdas", "direct", "reconstructed"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name)))
         if not (
             len(self.lambdas) == len(self.direct) == len(self.reconstructed)
         ):

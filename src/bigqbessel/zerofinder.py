@@ -49,7 +49,7 @@ from .defaults import (
 )
 from .bqbessel import _j_sign, _j_sum, eval_dJ_dz, eval_J
 from .errors import BracketingFailure, InvalidArgument, NoSignChange
-from .qcalc import QContext, _arg, _integer, _numbers, _order, _tol
+from .qcalc import QContext, _arg, _fields, _integer, _numbers, _order, _tol
 
 __all__ = ["ZeroTable", "find_zeros", "refine_zero"]
 
@@ -80,6 +80,8 @@ class ZeroTable:
                 raise InvalidArgument("zeros must be strictly increasing")
         if any(z <= 0 for z in self.zeros):
             raise InvalidArgument("zeros must be positive")
+        if any(d == 0 for d in self.derivs):  # the sampling kernel's divisor
+            raise InvalidArgument("derivs must be nonzero")
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -101,8 +103,10 @@ class ZeroTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZeroTable":
-        q, alpha = (float(_arg(name, d[name])) for name in ("q", "alpha"))
-        return cls(q, alpha, d["zeros"], d["derivs"], d["residuals"])
+        q, alpha, *lists = _fields(
+            d, ("q", "alpha", "zeros", "derivs", "residuals")
+        )
+        return cls(float(_arg("q", q)), float(_arg("alpha", alpha)), *lists)
 
 
 def _g(ctx: QContext, alpha, z, eval_tol):
@@ -248,18 +252,14 @@ def _geometric(z, ratio) -> List[mp.mpf]:
 
 
 def find_zeros(
-    ctx: QContext,
-    alpha,
-    count: int,
-    tol: float = RESIDUAL_TOL,
-    rho: float | None = None,
-    max_steps: int = SCAN_MAX_STEPS,
+    ctx: QContext, alpha, count: int, tol: float = RESIDUAL_TOL
 ) -> ZeroTable:
     """First `count` positive zeros (in lambda) of J_alpha(1, lambda; q^2).
 
     tol is the absolute residual target on |J| at each accepted zero.  The
-    scan starts at z = Z_START and steps by rho = q^RHO_EXPONENT unless rho
-    (> 1) is given; a zero whose |lambda dJ/dlambda| is below
+    scan starts at z = Z_START, steps by rho = q^RHO_EXPONENT and stops
+    with BracketingFailure after SCAN_MAX_STEPS steps (about 4 000 zeros,
+    since rho^4 = q^-2).  A zero whose |lambda dJ/dlambda| is below
     SIMPLICITY_FLOOR is not accepted as simple.  The floor is set on
     lambda dJ/dlambda, not on dJ/dlambda: at large alpha or tiny q the
     first zero lies far out (j_1 = 1.5e15 at q = 1/2, alpha = 50), where
@@ -267,13 +267,10 @@ def find_zeros(
     """
     am = _order(alpha, -0.5)  # the zero ordering needs alpha > -1/2
     count = _integer("count", count)
-    max_steps = _integer("max_steps", max_steps)
     eval_tol = _eval_tol(tol)
     with mp.workprec(53):
         q = _arg("q", ctx.q)
-        rho_m = q ** RHO_EXPONENT if rho is None else _arg("rho", rho)
-        if not rho_m > 1:  # the scan steps up in z
-            raise InvalidArgument(f"rho must exceed 1; got {rho}")
+        rho = q ** RHO_EXPONENT
         zeros: List[mp.mpf] = []
         derivs: List[mp.mpf] = []
         residuals: List[mp.mpf] = []
@@ -285,18 +282,11 @@ def find_zeros(
 
         # the multipliers rho^(i/SUBDIVISIONS) of every step, taken once:
         # z_lo times them are the points _geometric(z_lo, rho) gives
-        step = _geometric(mp.mpf(1), rho_m)
+        step = _geometric(mp.mpf(1), rho)
         z_lo = mp.mpf(Z_START)
         g_lo = sign(z_lo)
-        steps = 0
-        while len(zeros) < count:
-            if steps >= max_steps:
-                raise BracketingFailure(
-                    f"scan ceiling of {max_steps} steps reached with only "
-                    f"{len(zeros)} of {count} zeros bracketed; raise the "
-                    "ceiling"
-                )
-            z_hi = z_lo * rho_m
+        for _ in range(SCAN_MAX_STEPS):
+            z_hi = z_lo * rho
             sub_z = [z_lo * m for m in step]
             sub_g = [g_lo] + [sign(z) for z in sub_z[1:]]
             brackets = []
@@ -332,7 +322,11 @@ def find_zeros(
                 derivs.append(deriv)
                 residuals.append(abs(g_star))
                 if len(zeros) == count:
-                    break
+                    return ZeroTable(
+                        float(ctx.q), float(am), zeros, derivs, residuals
+                    )
             z_lo, g_lo = z_hi, sub_g[-1]
-            steps += 1
-        return ZeroTable(float(ctx.q), float(am), zeros, derivs, residuals)
+        raise BracketingFailure(
+            f"scan ceiling of {SCAN_MAX_STEPS} steps reached with only "
+            f"{len(zeros)} of {count} zeros bracketed"
+        )

@@ -39,6 +39,7 @@ from bigqbessel import (
     q_hankel_transform,
     reconstruct,
     sampling_kernel,
+    zerofinder,
 )
 
 import oracles
@@ -148,7 +149,7 @@ def test_criterion_3_attainable_portion():
 # 4. zeros vs independent dense-grid oracle, stability under halving
 # --------------------------------------------------------------------
 
-def test_criterion_4_zeros(ctx05):
+def test_criterion_4_zeros(monkeypatch, ctx05):
     table = find_zeros(ctx05, 0.0, 5, tol=1e-9)
     residual_ok = all(r <= 1e-9 for r in table.residuals)
     increasing = all(a < b for a, b in zip(table.zeros, table.zeros[1:]))
@@ -160,9 +161,8 @@ def test_criterion_4_zeros(ctx05):
     # scan-grid stability is checked at a residual tolerance tight
     # enough (1e-12) that refinement noise sits below the stated 1e-10
     fine = find_zeros(ctx05, 0.0, 5, tol=1e-12)
-    half = find_zeros(
-        ctx05, 0.0, 5, tol=1e-12, rho=float(mp.mpf(0.5) ** -0.25)
-    )
+    monkeypatch.setattr(zerofinder, "RHO_EXPONENT", -0.25)
+    half = find_zeros(ctx05, 0.0, 5, tol=1e-12)
     stable = max(
         abs(a - b) / b for a, b in zip(fine.zeros, half.zeros)
     )
@@ -252,7 +252,7 @@ def test_criterion_7_reconstruction(ctx05):
     # the working precision is pushed far below the N=20 truncation
     # error (~1e-108) so the decrease remains visible at every step
     table = find_zeros(ctx05, 0.0, 40, tol=1e-130)
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25])
     lams = [0.3, 0.7, 1.1, 1.5]
     errs = [
         reconstruct(ctx05, 0.0, f, table.head(n), lams, tol=1e-120)
@@ -277,7 +277,7 @@ def test_criterion_8_delta_example(ctx05, ctx08):
     for ctx, alpha in ((ctx05, 0.0), (ctx08, 0.5)):
         q = mp.mpf(ctx.q)
         q2 = q * q
-        f = QLatticeSignal(values=[1.0 / (1.0 - ctx.q)], a=1.0)
+        f = QLatticeSignal(values=[1.0 / (1.0 - ctx.q)])
         pref = mp.qp(-q2, q2) / mp.qp(-(q ** (2 * mp.mpf(alpha) + 4)), q2)
         for lam in (0.3, 0.7, 1.1, 1.5):
             got = q_hankel_transform(ctx, alpha, f, lam, 1e-14).value
@@ -319,7 +319,7 @@ def test_criterion_8_delta_example(ctx05, ctx08):
 def test_criterion_9_fourier_lattice_convergence(ctx05):
     table = find_zeros(ctx05, 0.0, 40, tol=1e-12)
     q = mp.mpf("0.5")
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25])
     coeffs = fourier_coefficients(ctx05, 0.0, f, table, tol=1e-13)
     worst = mp.mpf(0)
     for m in range(6):

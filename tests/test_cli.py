@@ -388,7 +388,9 @@ def test_usage_error_verify_has_no_csv(capsys):
 
 @pytest.mark.parametrize("option", ["--signal", "--zeros"])
 @pytest.mark.parametrize(
-    "text", ['{"values": [1, 2]}', '{"a": 1.0, "values": [1.0'], ids=["key", "json"]
+    "text",
+    ['{"values": [1, 2]}', '{"a": 1.0, "values": [1.0', '[1.0, 0.5]'],
+    ids=["key", "json", "list"],
 )
 def test_numeric_failure_malformed_input_file(capsys, tmp_path, option, text):
     bad = tmp_path / "bad.json"
@@ -492,6 +494,24 @@ def test_documents_pinned_byte_for_byte(capsys, tmp_path, argv, want_code, want_
     code, out, _ = run(capsys, argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+def test_numeric_failure_zero_deriv_in_table(capsys, tmp_path):
+    # the sampling kernel divides by each zero's derivative
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(
+        '{"q":0.5,"alpha":0,"zeros":[1.1242533587940896],"derivs":[0.0],'
+        '"residuals":[0.0]}'
+    )
+    sig = tmp_path / "signal.json"
+    sig.write_text(PINNED_SIGNAL)
+    code, out, err = run(
+        capsys,
+        ["sample", "--q", "0.5", "--zeros", str(zeros), "--signal", str(sig),
+         "--lambdas", "[0.7]"],
+    )
+    assert (code, out) == (3, "")
+    assert "InvalidArgument: derivs must be nonzero" in err
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ from bigqbessel import (
 from bigqbessel.errors import NotAZero
 from bigqbessel.qcalc import _workdigits
 
-F = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125], a=1.0)
-G = QLatticeSignal(values=[0.5, 2.0, -1.0], a=1.0)
+F = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125])
+G = QLatticeSignal(values=[0.5, 2.0, -1.0])
 PARAMS = [(0.5, 0.0), (0.3, 1.0)]
 # 1e-13 and 1e-15 share a working precision: only tol tells their keys apart
 TOLS = [1e-13, 1e-15]

@@ -52,7 +52,7 @@ def test_weight_frozen_value(ctx05):
 def test_inner_product_delta_signal(ctx05):
     # delta at the lattice head with value 1/(1-q):
     # <f, f> = (1-q) w(1) / (1-q)^2 = w(1)/(1-q)
-    f = QLatticeSignal(values=[2.0], a=1.0)
+    f = QLatticeSignal(values=[2.0])
     got = inner_product(ctx05, 0.0, f, f, tol=1e-14).value
     want = weight(ctx05, 0.0, 1.0) / (1 - mp.mpf("0.5"))
     assert abs(got - want) <= 1e-13 * abs(want)
@@ -62,14 +62,14 @@ def test_fourier_rejects_off_unit_scale(ctx05, table05):
     # the zeros are those of J_alpha(1, .; q^2): a signal on another
     # lattice is refused for its scale, not blamed on the zeros
     with pytest.raises(InvalidArgument, match=r"\ba=0.5"):
-        f = QLatticeSignal(values=[1.0, 0.5], a=0.5)
+        f = QLatticeSignal.from_dict({"a": 0.5, "values": [1.0, 0.5]})
         fourier_coefficients(ctx05, 0.0, f, table05.head(2))
 
 
 def test_inner_product_scale_mismatch(ctx05):
-    f = QLatticeSignal(values=[1.0], a=1.0)
+    f = QLatticeSignal(values=[1.0])
     with pytest.raises(InvalidArgument, match=r"\ba=0.5"):
-        g = QLatticeSignal(values=[1.0], a=0.5)
+        g = QLatticeSignal.from_dict({"a": 0.5, "values": [1.0]})
         inner_product(ctx05, 0.0, f, g)
 
 
@@ -164,7 +164,7 @@ def test_lattice_sums_match_direct_paths(q, alpha):
     tol = 1e-13
     ctx = QContext(q)
     table = find_zeros(ctx, alpha, 4, tol=1e-12)
-    f = QLatticeSignal(values=[1.0, 0.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, 0.0, -0.5, 0.25])
     lams = [mp.mpf("0.7"), table.zeros[1]]
     rep = gram_matrix(ctx, alpha, table, tol)
     coeffs = fourier_coefficients(ctx, alpha, f, table, tol)
@@ -230,7 +230,7 @@ def test_fourier_rejects_low_order(ctx05):
 
 
 def test_fourier_coefficients_shape_and_partial_sum(ctx05, table05):
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25])
     coeffs = fourier_coefficients(ctx05, 0.0, f, table05, tol=1e-13)
     assert len(coeffs) == 5
     val = fourier_partial_sum(ctx05, 0.0, coeffs, table05, 1.0, tol=1e-13)
@@ -246,7 +246,7 @@ def test_fourier_coefficients_shape_and_partial_sum(ctx05, table05):
     "orthogonality relation)",
 )
 def test_parseval_partial_sums_bounded(ctx05, table05):
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25])
     coeffs = fourier_coefficients(ctx05, 0.0, f, table05, tol=1e-13)
     energy = inner_product(ctx05, 0.0, f, f, tol=1e-13).value
     partial = mp.mpf(0)
@@ -260,7 +260,7 @@ def test_parseval_partial_sums_bounded(ctx05, table05):
 
 def test_parseval_partial_sums_nondecreasing(ctx05, table05):
     # the nondecreasing half of the Parseval property does hold
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25])
     coeffs = fourier_coefficients(ctx05, 0.0, f, table05, tol=1e-13)
     prev = mp.mpf(0)
     for k in range(5):
@@ -273,9 +273,9 @@ def test_parseval_partial_sums_nondecreasing(ctx05, table05):
 
 
 def test_signal_roundtrip():
-    f = QLatticeSignal(values=[1.0, 2.0], a=1.0)
+    f = QLatticeSignal(values=[1.0, 2.0])
     back = QLatticeSignal.from_dict(f.to_dict())
-    assert back.a == f.a
+    assert f.to_dict()["a"] == 1.0  # the document keeps the scale field
     assert list(back.values) == list(f.values)
     with pytest.raises(ValueError):
         QLatticeSignal(values=[])

@@ -34,8 +34,8 @@ from bigqbessel import (
 import oracles
 
 CTX = QContext(0.5)
-F = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
-G = QLatticeSignal(values=[0.5, 2.0], a=1.0)
+F = QLatticeSignal(values=[1.0, -0.5, 0.25])
+G = QLatticeSignal(values=[0.5, 2.0])
 Z1 = float(oracles.ZEROS_Q05_A0[0]) ** 2
 
 # name -> f(table), table a 3-zero table of (0.5, 0) built at the default

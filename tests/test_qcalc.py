@@ -137,7 +137,6 @@ INVALID_AT_THE_EDGE = {
     "eval_J(tol=inf)": lambda: eval_J(QContext(0.5), 0.0, 1.0, 0.5, math.inf),
     "eval_J(alpha=True)": lambda: eval_J(QContext(0.5), True, 1.0, 0.5),
     "find_zeros(count=True)": lambda: find_zeros(QContext(0.5), 0.0, True),
-    "find_zeros(rho=-1)": lambda: find_zeros(QContext(0.5), 0.0, 2, rho=-1.0),
     "sampling_kernel(k=1.5)": (
         lambda: sampling_kernel(QContext(0.5), 0.0, NO_ZEROS, 1.5, 0.7)
     ),
@@ -163,6 +162,12 @@ INVALID_AT_THE_EDGE = {
     "identity_residual(eigenfunction, x=0)": (
         lambda: identity_residual(QContext(0.5), "eigenfunction", 0, 0.0, 1.0)
     ),
+    # the sampling kernel and the closed sum divide by each derivative
+    "ZeroTable(derivs=[0])": lambda: ZeroTable(0.5, 0.0, [1.0], [0.0], [0.0]),
+    # a report's lists pass the list gate before their lengths are taken
+    "ReconstructionReport(lambdas=0.7)": (
+        lambda: ReconstructionReport(0.7, [], [], mp.mpf(0), 1)
+    ),
 }
 
 # the argument that each domain refusal above names
@@ -177,6 +182,8 @@ REFUSED_ARGUMENT = {
     "fused_product_ratio(x2=-4)": "x2",
     "apply_L(x=0)": "x",
     "identity_residual(eigenfunction, x=0)": "x",
+    "ZeroTable(derivs=[0])": "derivs",
+    "ReconstructionReport(lambdas=0.7)": "lambdas",
 }
 
 
@@ -199,8 +206,12 @@ INVALID_AT_CONSTRUCTION = {
     "SeriesValue(abs_error<0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(-1), 1),
     "SeriesValue(terms_used=0)": lambda: SeriesValue(mp.mpf(1), mp.mpf(0), 0),
     "QLatticeSignal(empty)": lambda: QLatticeSignal([]),
-    "QLatticeSignal(a=0)": lambda: QLatticeSignal([1.0], a=0.0),
-    "QLatticeSignal(a=nan)": lambda: QLatticeSignal([1.0], a=NAN),
+    "QLatticeSignal(a=0)": (
+        lambda: QLatticeSignal.from_dict({"a": 0.0, "values": [1.0]})
+    ),
+    "QLatticeSignal(a=nan)": (
+        lambda: QLatticeSignal.from_dict({"a": NAN, "values": [1.0]})
+    ),
     "QLatticeSignal(value=nan)": lambda: QLatticeSignal([1.0, NAN]),
     "QLatticeSignal(value=-inf)": (
         lambda: QLatticeSignal([mp.mpf("-inf")])
@@ -244,8 +255,8 @@ def test_invalid_value_is_typed_at_construction(call):
 
 # One valid call of every public function and of every dataclass that takes
 # a caller's numbers, by keyword.  The gate test below replaces one numeric
-# argument at a time (with the defaults applied, so tol, terms_max and
-# max_steps count too): a number, an entry of a list of numbers, or the
+# argument at a time (with the defaults applied, so tol and terms_max
+# count too): a number, an entry of a list of numbers, or the
 # value that a callable f returns.
 CTX = QContext(0.5)
 TABLE = ZeroTable(0.5, 0.0, [1.0], [1.0], [0.0])
@@ -279,9 +290,9 @@ VALID_CALLS = {
     "ZeroTable": dict(
         q=0.5, alpha=0.0, zeros=[1.0], derivs=[1.0], residuals=[0.0]
     ),
-    "find_zeros": dict(ctx=CTX, alpha=0.0, count=3, rho=2.0),
+    "find_zeros": dict(ctx=CTX, alpha=0.0, count=3),
     "refine_zero": dict(ctx=CTX, alpha=0.0, z_lo=1.0, z_hi=2.0),
-    "QLatticeSignal": dict(values=[1.0, 0.5], a=1.0),
+    "QLatticeSignal": dict(values=[1.0, 0.5]),
     "weight": dict(ctx=CTX, alpha=0.0, x=0.7),
     "inner_product": dict(ctx=CTX, alpha=0.0, f=SIGNAL, g=SIGNAL),
     "lommel_integral_direct": dict(ctx=CTX, alpha=0.0, lam=0.7, mu=3.3),
@@ -401,9 +412,9 @@ PUBLIC_PARAMETERS = {
     "apply_L": ("ctx", "alpha", "f", "x"),
     "identity_residual": ("ctx", "kind", "alpha", "x", "z", "tol"),
     "ZeroTable": ("q", "alpha", "zeros", "derivs", "residuals"),
-    "find_zeros": ("ctx", "alpha", "count", "tol", "rho", "max_steps"),
+    "find_zeros": ("ctx", "alpha", "count", "tol"),
     "refine_zero": ("ctx", "alpha", "z_lo", "z_hi", "tol"),
-    "QLatticeSignal": ("values", "a"),
+    "QLatticeSignal": ("values",),
     "GramReport": ("matrix", "norm_closed", "max_offdiag_rel"),
     "weight": ("ctx", "alpha", "x", "tol"),
     "inner_product": ("ctx", "alpha", "f", "g", "tol"),
@@ -477,6 +488,56 @@ def test_a_list_argument_that_is_no_list_is_refused_by_name(
         with pytest.raises(InvalidArgument) as info:
             getattr(bigqbessel, name)(**{**arguments, param: bad})
         assert re.match(rf"{param}\b", str(info.value)), (bad, info.value)
+
+
+# The two document readers, each with a valid document.  A document that
+# is not an object, one that lacks a field, and one whose field is null
+# raise InvalidArgument saying so or naming the field, not a bare KeyError
+# or TypeError.
+DOCUMENTS = {
+    "ZeroTable": {
+        "q": 0.5, "alpha": 0.0, "zeros": [1.0], "derivs": [1.0],
+        "residuals": [0.0],
+    },
+    "QLatticeSignal": {"a": 1.0, "values": [1.0, 0.5]},
+}
+
+
+def _document_cases():
+    """(id, reader, document, the pattern the message starts with)"""
+    cases = []
+    for name, doc in DOCUMENTS.items():
+        for bad in ([], None, 5, "x"):
+            cases.append((f"{name}({bad!r})", name, bad,
+                          "document must be an object"))
+        for field in doc:
+            lacking = {k: v for k, v in doc.items() if k != field}
+            cases.append((f"{name}(no {field})", name, lacking,
+                          rf"document lacks the field {field}$"))
+            cases.append((f"{name}({field}=null)", name,
+                          {**doc, field: None}, rf"{field}\b"))
+    return cases
+
+
+DOCUMENT_CASES = _document_cases()
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_a_valid_document_reads_back(name):
+    reader = getattr(bigqbessel, name)
+    read = reader.from_dict(DOCUMENTS[name])
+    assert reader.from_dict(read.to_dict()) == read
+
+
+@pytest.mark.parametrize(
+    "name,doc,message",
+    [case[1:] for case in DOCUMENT_CASES],
+    ids=[case[0] for case in DOCUMENT_CASES],
+)
+def test_a_bad_document_is_refused_by_field(name, doc, message):
+    with pytest.raises(InvalidArgument) as info:
+        getattr(bigqbessel, name).from_dict(doc)
+    assert re.match(message, str(info.value)), info.value
 
 
 @pytest.mark.parametrize("n", [-1, True, None, 1.5, "2"])

@@ -35,7 +35,7 @@ def test_delta_signal_transform_closed_form(ctx05, ctx08):
     for ctx, alpha in ((ctx05, 0.0), (ctx08, 0.5)):
         q = mp.mpf(ctx.q)
         q2 = q * q
-        f = QLatticeSignal(values=[1.0 / (1.0 - ctx.q)], a=1.0)
+        f = QLatticeSignal(values=[1.0 / (1.0 - ctx.q)])
         pref = mp.qp(-q2, q2) / mp.qp(-(q ** (2 * mp.mpf(alpha) + 4)), q2)
         for lam in (0.3, 0.7, 1.1, 1.5):
             got = q_hankel_transform(ctx, alpha, f, lam, tol=1e-14).value
@@ -48,7 +48,7 @@ def test_delta_signal_transform_closed_form(ctx05, ctx08):
 def test_transform_squares_lambda_at_working_precision(ctx05, table05):
     # lambda^2 rounded to 53 bits would cost the 1e-30 transform its
     # digits beyond 1e-17; the transform is reconstruct's direct value
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125, 2.0, -1.0], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125, 2.0, -1.0])
     lams = [0.7, 3.3]
     rep = reconstruct(ctx05, 0.0, f, table05, lams, tol=1e-30)
     for lam, direct in zip(lams, rep.direct):
@@ -73,7 +73,7 @@ TABLE_USERS = {
 @pytest.mark.parametrize("q,alpha", [(0.55, 0.0), (0.5, 0.2)])
 @pytest.mark.parametrize("name", list(TABLE_USERS))
 def test_zero_table_must_match_the_call(table05, name, q, alpha):
-    f = QLatticeSignal(values=[1.0, -0.5], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5])
     with pytest.raises(InvalidArgument) as exc:
         TABLE_USERS[name](QContext(q), alpha, f, table05)
     assert "(0.5, 0.0)" in str(exc.value)
@@ -81,10 +81,10 @@ def test_zero_table_must_match_the_call(table05, name, q, alpha):
 
 
 def test_transform_is_linear(ctx05):
-    f1 = QLatticeSignal(values=[1.0, 0.0, 2.0], a=1.0)
-    f2 = QLatticeSignal(values=[0.5, -1.0], a=1.0)
+    f1 = QLatticeSignal(values=[1.0, 0.0, 2.0])
+    f2 = QLatticeSignal(values=[0.5, -1.0])
     comb = QLatticeSignal(values=[1.0 * 3 + 0.5 * -2, 0.0 * 3 - 1.0 * -2,
-                                  2.0 * 3], a=1.0)
+                                  2.0 * 3])
     lam = 0.9
     got = q_hankel_transform(ctx05, 0.0, comb, lam, 1e-14).value
     want = (
@@ -97,16 +97,19 @@ def test_transform_is_linear(ctx05):
 def test_transform_scale_and_order_checks(ctx05):
     with pytest.raises(InvalidArgument, match=r"\ba=0.5"):
         q_hankel_transform(
-            ctx05, 0.0, QLatticeSignal(values=[1.0], a=0.5), 1.0
+            ctx05,
+            0.0,
+            QLatticeSignal.from_dict({"a": 0.5, "values": [1.0]}),
+            1.0,
         )
     with pytest.raises(InvalidOrder):
         q_hankel_transform(
-            ctx05, -1.5, QLatticeSignal(values=[1.0], a=1.0), 1.0
+            ctx05, -1.5, QLatticeSignal(values=[1.0]), 1.0
         )
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         q_hankel_transform(
-            ctx05, -0.75, QLatticeSignal(values=[1.0], a=1.0), 1.0
+            ctx05, -0.75, QLatticeSignal(values=[1.0]), 1.0
         )
     assert any("alpha" in str(w.message) for w in rec)
 
@@ -178,7 +181,7 @@ def test_kernel_index_bounds(ctx05, table05):
 
 def test_reconstruction_error_decreases(ctx05):
     table = find_zeros(ctx05, 0.0, 12, tol=1e-30)
-    f = QLatticeSignal(values=[1.0, -0.5, 0.25], a=1.0)
+    f = QLatticeSignal(values=[1.0, -0.5, 0.25])
     lams = [0.3, 0.7, 1.1, 1.5]
     errs = [
         reconstruct(ctx05, 0.0, f, table.head(n), lams, tol=1e-25).max_rel_err
@@ -189,9 +192,9 @@ def test_reconstruction_error_decreases(ctx05):
 
 
 def test_reconstruction_is_linear(ctx05, table05):
-    f1 = QLatticeSignal(values=[1.0, 0.5], a=1.0)
-    f2 = QLatticeSignal(values=[0.0, -1.0, 2.0], a=1.0)
-    comb = QLatticeSignal(values=[2.0, 2.0, -2.0], a=1.0)  # 2*f1 - f2
+    f1 = QLatticeSignal(values=[1.0, 0.5])
+    f2 = QLatticeSignal(values=[0.0, -1.0, 2.0])
+    comb = QLatticeSignal(values=[2.0, 2.0, -2.0])  # 2*f1 - f2
     lams = [0.4, 1.3]
     r1 = reconstruct(ctx05, 0.0, f1, table05, lams, tol=1e-14)
     r2 = reconstruct(ctx05, 0.0, f2, table05, lams, tol=1e-14)
@@ -202,7 +205,7 @@ def test_reconstruction_is_linear(ctx05, table05):
 
 
 def test_reconstruction_report_contents(ctx05, table05):
-    f = QLatticeSignal(values=[1.0], a=1.0)
+    f = QLatticeSignal(values=[1.0])
     rep = reconstruct(ctx05, 0.0, f, table05, [0.5], tol=1e-13)
     assert rep.terms == 5
     d = rep.to_dict()

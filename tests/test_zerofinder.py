@@ -61,10 +61,10 @@ def test_derivative_sign_alternates(table05):
         assert s0 == -s1
 
 
-def test_stability_under_grid_halving(ctx05, table05):
+def test_stability_under_grid_halving(monkeypatch, ctx05, table05):
     # halving the geometric scan step must reproduce the same zeros
-    rho_half = float(mp.mpf(0.5) ** -0.25)
-    alt = find_zeros(ctx05, 0.0, 5, tol=1e-12, rho=rho_half)
+    monkeypatch.setattr(zerofinder, "RHO_EXPONENT", -0.25)
+    alt = find_zeros(ctx05, 0.0, 5, tol=1e-12)
     for a, b in zip(table05.zeros, alt.zeros):
         assert abs(a - b) <= 1e-10 * b
 
@@ -151,9 +151,10 @@ def test_invalid_tol_and_count_name_the_callers_value(ctx05, fn, args, message):
     assert str(info.value) == message
 
 
-def test_scan_ceiling_raises(ctx05):
-    with pytest.raises(BracketingFailure):
-        find_zeros(ctx05, 0.0, 3, max_steps=1)
+def test_scan_ceiling_raises(monkeypatch, ctx05):
+    monkeypatch.setattr(zerofinder, "SCAN_MAX_STEPS", 1)
+    with pytest.raises(BracketingFailure, match="scan ceiling of 1 steps"):
+        find_zeros(ctx05, 0.0, 3)
 
 
 def test_no_zeros_for_negative_z(ctx05):
