@@ -35,6 +35,11 @@ The double-precision parts that depend on neither x nor z, those of the
 float pass of sum_series and those of _j_sum's double sum, live in a
 second small memo keyed by (float q, float alpha) (_float_rows), built
 row by row on demand by the float expressions they replace.
+
+The lattice's columns of J values come from _j_column, one call per
+column: per entry it runs _j_ratio and the two passes of sum_series,
+without eval_J's argument gates, tail bound and SeriesValue, and gives
+eval_J's value bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ from .qcalc import (
     QContext,
     SeriesValue,
     _arg,
+    _digits,
+    _exact_pass,
+    _float_pass,
     _integer,
     _log10_abs,
     _order,
@@ -478,6 +486,31 @@ def eval_J(
         return SeriesValue(mp.mpf(1), mp.mpf(0), 1)
     log_ratio, ratio = _j_ratio(alpha, x, z, ctx.q)
     return sum_series(0.0, log_ratio, lambda: fone, ratio, tol, terms_max)
+
+
+def _j_column(alpha, xs, z, q, tol) -> list:
+    """[eval_J(QContext(q), alpha, x, z, tol).value._mpf_ for x in xs]: the
+    column kernel of the lattice (orthogonality._Column.fill), whose
+    arguments come converted and checked (alpha an mpf above -1, each x
+    and z an mpf, tol passed by _tol).  Each entry runs _j_ratio and the
+    two passes of sum_series at that entry's own working precision,
+    without the argument gates, the tail, the rounding floor or the
+    SeriesValue, so each is the raw value of eval_J's bit for bit; at
+    z = 0 every entry is 1, as in eval_J.  mpmath's precision is the
+    caller's again on every exit."""
+    if not z:
+        return [fone] * len(xs)
+    digs = _digits(tol)
+    ctx_prec = mp.mp.prec
+    values = []
+    try:
+        for x in xs:
+            log_ratio, ratio = _j_ratio(alpha, x, z, q)
+            mp.mp.dps = _float_pass(0.0, log_ratio, digs, TERMS_MAX)[1]
+            values.append(_exact_pass(fone, ratio, tol, TERMS_MAX)[0])
+    finally:
+        mp.mp.prec = ctx_prec
+    return values
 
 
 def eval_dJ_dz(

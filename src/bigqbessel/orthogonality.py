@@ -32,9 +32,12 @@ the constants C and W(1) of the closed forms (_Lattice.closed).  Each
 zero's column also holds its closed-form norm for the deriv it was given
 (norm_sq_closed) and its Gram integrals against the other kept columns
 (_Lattice.gram), so these go when the column goes; a point that is not a
-zero keeps nothing.  Each value is the same mpmath operation on the same
-operands at the same precision as when a call computed it itself, so
-every result is bit-identical to a fresh computation's.
+zero keeps nothing.  A column evaluates the entries it lacks in one call
+of the column kernel bqbessel._j_column (_Column.fill): a lattice sum
+fills the entries a signal reads, or both columns' 64-entry Jackson
+heads, before it sums.  Each value is the same mpmath operation on the
+same operands at the same precision as when a call computed it itself,
+so every result is bit-identical to a fresh computation's.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Dict, List
 
 import mpmath as mp
 
-from .bqbessel import eval_dJ_dz, eval_J
+from .bqbessel import _j_column, eval_dJ_dz, eval_J
 from .defaults import DEFAULT_TOL, NOT_A_ZERO_TOL
 from .errors import InvalidArgument, NotAZero
 from .qcalc import (
@@ -209,13 +212,20 @@ class _Lattice:
         the sum is finite over its support: a term is skipped where f[m] or
         g[m] is 0, and g is not looked at where f[m] is 0.  Two columns
         give the Jackson integral with the tail rule of qcalc.jackson_sum.
+        A column g's entries that a signal f reads (f[m] != 0), or the
+        64-point head of jackson_sum with two columns, are filled by one
+        kernel call per column.
         """
         lengths = [len(v) for v in (f, g) if not isinstance(v, _Column)]
         if not lengths:
+            f.fill(range(64))  # the head that jackson_sum reads first
+            g.fill(range(64))
             return jackson_sum(
                 lambda m: self.weight(m) * f[m] * g[m], 1, self.q, self.tol
             )
         n = min(lengths)
+        if isinstance(g, _Column):
+            g.fill([m for m in range(n) if f[m] != 0])
         s = mp.mpf(0)
         for m in range(n):
             fv = f[m]
@@ -233,9 +243,10 @@ class _Lattice:
 
 class _Column:
     """m -> J_{alpha+1}(q^m, z) on a lattice, each value evaluated once,
-    at the lattice's working precision.  The values are kept as mpmath's
-    raw (sign, mantissa, exponent, bitcount) tuples, a third smaller than
-    mpf objects, since the memo keeps thousands of them."""
+    by the column kernel (fill), which gives eval_J's value at the
+    lattice's tol.  The values are kept as mpmath's raw (sign, mantissa,
+    exponent, bitcount) tuples, a third smaller than mpf objects, since
+    the memo keeps thousands of them."""
 
     def __init__(self, lattice: _Lattice, z) -> None:
         self._lattice = lattice
@@ -247,16 +258,25 @@ class _Column:
         self.norm = (None, None)
         self.grams: Dict[mp.mpf, mp.mpf] = {}
 
-    def __getitem__(self, m: int) -> mp.mpf:
+    def fill(self, ms) -> None:
+        """Evaluate the entries among ms that the column lacks, in one
+        call of the column kernel."""
         values = self._values
-        if len(values) <= m:
-            values.extend([None] * (m + 1 - len(values)))
-        if values[m] is None:
-            lat = self._lattice
-            values[m] = eval_J(
-                lat.ctx, lat.order, lat.qpow(m), self._z, lat.tol
-            ).value._mpf_
-        return mp.make_mpf(values[m])
+        missing = [m for m in ms if m >= len(values) or values[m] is None]
+        if not missing:
+            return
+        lat = self._lattice
+        xs = [lat.qpow(m) for m in missing]
+        got = _j_column(lat.order, xs, self._z, lat.ctx.q, lat.tol)
+        top = max(missing)
+        if len(values) <= top:
+            values.extend([None] * (top + 1 - len(values)))
+        for m, v in zip(missing, got):
+            values[m] = v
+
+    def __getitem__(self, m: int) -> mp.mpf:
+        self.fill((m,))
+        return mp.make_mpf(self._values[m])
 
 
 # The memo of lattices (_lattice) holds the _LATTICE_SLOTS keys (q, alpha,

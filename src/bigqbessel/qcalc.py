@@ -4,13 +4,16 @@ Infinite q-product ratios, q-derivatives, the Jackson q-integral, and
 sum_series, which sums the J series: it stops at index k once
 |term_k| <= tol*max(1, |S|) and the next term ratio has |r(k)| < 1, and
 reports the tail bound |term_{k+1}|/(1-|r(k)|), proved beside
-bqbessel._j_ratio.  Its exact pass works on mpmath's raw _mpf_ tuples
-with the mpmath.libmp functions that mpf arithmetic calls, at the same
-precision and rounding, so every value and every stop decision is the one
-the same loop on mpf objects gives (tests/oracles.py keeps that loop).
-The binary exponents of a term and of the sum decide most stop tests
-without the mpf comparison: where they show |term| > tol*max(1, |S|),
-the mpf test could only say the same.
+bqbessel._j_ratio.  sum_series is two passes and the tail: a float pass
+(_float_pass) that fixes the working precision, and an exact pass
+(_exact_pass) that works on mpmath's raw _mpf_ tuples with the
+mpmath.libmp functions that mpf arithmetic calls, at the same precision
+and rounding, so every value and every stop decision is the one the same
+loop on mpf objects gives (tests/oracles.py keeps that loop).  The binary
+exponents of a term and of the sum decide most stop tests without the mpf
+comparison: where they show |term| > tol*max(1, |S|), the mpf test could
+only say the same.  The lattice's column kernel (bqbessel._j_column) runs
+the same two passes without the tail.
 
 Every public entry of L0-L3 passes its caller's arguments through six
 gates before any work: _arg converts each number exactly and _numbers
@@ -222,7 +225,7 @@ def fused_product_ratio(x2, e_num, e_den, q, tol: float = DEFAULT_TOL):
     return p
 
 
-# Bits by which sum_series' exponent pre-test keeps clear of the stop bound.
+# Bits by which _exact_pass's exponent pre-test keeps clear of the stop bound.
 _STOP_MARGIN_BITS = 2
 
 
@@ -236,39 +239,42 @@ def sum_series(
 ) -> SeriesValue:
     """Adaptive-precision summation engine of the J series and dJ/dz.
 
-    A cheap float pass over log10 term magnitudes (log_term0, and
-    log_ratio(k) = log10|r(k)|) estimates the peak term, which fixes the
-    working precision (the series alternate in sign, and the peak can
-    exceed the sum by hundreds of digits).  The exact pass then applies
-    the truncation rule and the tail bound of the module docstring.  It
-    calls mp_term0() and mp_ratio(k) inside the working precision; each
-    returns the term or the ratio as a raw _mpf_ tuple computed at that
-    precision and rounding.  The exact pass is the loop
-
-        s = 0; t = t_0
-        s += t; r = r(n); nxt = t r
-        stop if |t| <= tol max(1, |s|) and |r| < 1, else t = nxt
-
-    in mpmath.libmp operations, each on the operands, in the order and at
-    the precision and rounding that mpf arithmetic would use, so its
-    values are those of the loop on mpf objects bit for bit.  The tail,
-    the rounding floor and the result are mpf.  tol and terms_max come
-    checked from the public entry (_tol, _integer).
-
-    Exponent pre-test.  With mag(v) = e + bc for v = m 2^e, m of bc
-    bits, a term t != 0 has |t| >= 2^(mag(t) - 1), and rounding |t| to
-    the working precision keeps that power of 2 as a floor.  The bound
-    tol max(1, |s|) is tol (tol * 1 rounded, no larger than 2^mag(tol))
-    while |s| <= 1, and tol |s| rounded while |s| > 1, where mag(s) >= 1
-    and the product lies below 2^(mag(tol) + mag(s)); rounding keeps
-    that power as a ceiling.  So whenever
-    mag(t) - 1 > mag(tol) + _STOP_MARGIN_BITS + max(0, mag(s)), |t|
-    exceeds the bound and the mpf test would go on to the next term;
-    the loop goes on without it.  Every other term, and t = 0, takes the
-    mpf test, so each stop decision, and with it terms_used, is the mpf
-    loop's.
+    A cheap float pass over log10 term magnitudes (_float_pass) estimates
+    the peak term, which fixes the working precision (the series alternate
+    in sign, and the peak can exceed the sum by hundreds of digits).  The
+    exact pass (_exact_pass) then applies the truncation rule of the
+    module docstring at that precision, with mp_term0() as its first term
+    and mp_ratio(k) as r(k), each a raw _mpf_ tuple computed at that
+    precision and rounding.  The tail bound, the rounding floor and the
+    result are mpf.  tol and terms_max come checked from the public entry
+    (_tol, _integer).
     """
-    digs = max(1.0, -_log10_abs(tol))
+    digs = _digits(tol)
+    peak, dps = _float_pass(log_term0, log_ratio, digs, terms_max)
+    with mp.workdps(dps):
+        s, n, nxt, abs_r = _exact_pass(mp_term0(), mp_ratio, tol, terms_max)
+        tail = abs(mp.make_mpf(nxt)) / (1 - mp.make_mpf(abs_r))
+        # Add the rounding floor: partial sums peak at ~10^peak, so the
+        # summation noise sits near 10^(peak - dps).
+        err = tail + mp.mpf(10) ** (int(peak) + 5 - dps)
+        return SeriesValue(+mp.make_mpf(s), +err, n)
+
+
+def _digits(tol) -> float:
+    """The decimal digits that tol asks of sum_series, at least 1."""
+    return max(1.0, -_log10_abs(tol))
+
+
+def _float_pass(
+    log_term0: float,
+    log_ratio: Callable[[int], float],
+    digs: float,
+    terms_max: int,
+) -> tuple[float, int]:
+    """(peak, dps): the largest log10|term| (at least 0) over the terms
+    t_0 = 10^log_term0, t_(k+1) = t_k 10^log_ratio(k) up to the first one
+    that falls, on a falling ratio, below 10^-(digs + 10), and the working
+    decimal digits that peak and digs = _digits(tol) fix."""
     lt = log_term0
     peak = max(0.0, lt)
     k = 0
@@ -283,48 +289,70 @@ def sum_series(
         raise DivergentSeries(
             f"series failed to decay within the {terms_max}-term budget"
         )
-    dps = max(MIN_DPS, int(peak + digs) + GUARD_DIGITS)
-    with mp.workdps(dps):
-        prec, rnd = mp.mp._prec_rounding
-        # tol max(1, |s|) as mpmath evaluates it: tol times |s| while
-        # |s| > 1, with tol converted exactly as a right-hand operand; else
-        # tol * 1, which is tol for a float or an int and tol rounded to
-        # the working precision for an mpf.
-        tol_m = mp.mpf.mpf_convert_rhs(tol)
-        tol_1 = mp.mpf.mpf_convert_rhs(tol * 1)
-        # the exponent pre-test of the docstring: mag(tol) and its margin
-        mag_tol = tol_m[2] + tol_m[3] + _STOP_MARGIN_BITS
-        t = mp_term0()
-        s = fzero
-        n = 0
-        while n < terms_max:
-            s = mpf_add(s, t, prec, rnd)
-            r = mp_ratio(n)
-            n += 1
-            nxt = mpf_mul(t, r, prec, rnd)
-            if t[1] and t[2] + t[3] - 1 > mag_tol + max(0, s[2] + s[3]):
-                t = nxt  # |t| > tol max(1, |s|)
-                continue
-            abs_s = mpf_abs(s, prec, rnd)
-            bound = (
-                mpf_mul(tol_m, abs_s, prec, rnd)
-                if mpf_gt(abs_s, fone)
-                else tol_1
-            )
-            if mpf_le(mpf_abs(t, prec, rnd), bound):
-                abs_r = mpf_abs(r, prec, rnd)
-                if mpf_lt(abs_r, fone):
-                    break
-            t = nxt
-        else:
-            raise DivergentSeries(
-                f"truncation rule not certified within {terms_max} terms"
-            )
-        tail = abs(mp.make_mpf(nxt)) / (1 - mp.make_mpf(abs_r))
-        # Add the rounding floor: partial sums peak at ~10^peak, so the
-        # summation noise sits near 10^(peak - dps).
-        err = tail + mp.mpf(10) ** (int(peak) + 5 - dps)
-        return SeriesValue(+mp.make_mpf(s), +err, n)
+    return peak, max(MIN_DPS, int(peak + digs) + GUARD_DIGITS)
+
+
+def _exact_pass(
+    t: tuple, mp_ratio: Callable[[int], tuple], tol, terms_max: int
+) -> tuple:
+    """(s, n, nxt, |r|) of the loop
+
+        s = 0
+        s += t; r = r(n); nxt = t r
+        stop if |t| <= tol max(1, |s|) and |r| < 1, else t = nxt
+
+    from the first term t, with r(n) = mp_ratio(n), on raw _mpf_ tuples at
+    mpmath's current precision and rounding: s is the sum of the n terms
+    summed, nxt the next term and |r| that of the last ratio.  Each step
+    is the mpmath.libmp operation that mpf arithmetic performs, on the
+    same operands in the same order at the same precision and rounding,
+    so every value is that of the loop on mpf objects bit for bit.
+
+    Exponent pre-test.  With mag(v) = e + bc for v = m 2^e, m of bc
+    bits, a term t != 0 has |t| >= 2^(mag(t) - 1), and rounding |t| to
+    the working precision keeps that power of 2 as a floor.  The bound
+    tol max(1, |s|) is tol (tol * 1 rounded, no larger than 2^mag(tol))
+    while |s| <= 1, and tol |s| rounded while |s| > 1, where mag(s) >= 1
+    and the product lies below 2^(mag(tol) + mag(s)); rounding keeps
+    that power as a ceiling.  So whenever
+    mag(t) - 1 > mag(tol) + _STOP_MARGIN_BITS + max(0, mag(s)), |t|
+    exceeds the bound and the mpf test would go on to the next term;
+    the loop goes on without it.  Every other term, and t = 0, takes the
+    mpf test, so each stop decision, and with it n, is the mpf loop's.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    # tol max(1, |s|) as mpmath evaluates it: tol times |s| while |s| > 1,
+    # with tol converted exactly as a right-hand operand; else tol * 1,
+    # which is tol for a float or an int and tol rounded to the working
+    # precision for an mpf.
+    tol_m = mp.mpf.mpf_convert_rhs(tol)
+    tol_1 = mp.mpf.mpf_convert_rhs(tol * 1)
+    # the exponent pre-test of the docstring: mag(tol) and its margin
+    mag_tol = tol_m[2] + tol_m[3] + _STOP_MARGIN_BITS
+    s = fzero
+    n = 0
+    while n < terms_max:
+        s = mpf_add(s, t, prec, rnd)
+        r = mp_ratio(n)
+        n += 1
+        nxt = mpf_mul(t, r, prec, rnd)
+        if t[1] and t[2] + t[3] - 1 > mag_tol + max(0, s[2] + s[3]):
+            t = nxt  # |t| > tol max(1, |s|)
+            continue
+        abs_s = mpf_abs(s, prec, rnd)
+        bound = (
+            mpf_mul(tol_m, abs_s, prec, rnd)
+            if mpf_gt(abs_s, fone)
+            else tol_1
+        )
+        if mpf_le(mpf_abs(t, prec, rnd), bound):
+            abs_r = mpf_abs(r, prec, rnd)
+            if mpf_lt(abs_r, fone):
+                return s, n, nxt, abs_r
+        t = nxt
+    raise DivergentSeries(
+        f"truncation rule not certified within {terms_max} terms"
+    )
 
 
 def q_derivative(f: Callable, x, q):

@@ -3,9 +3,11 @@ the raw-tuple exact pass of sum_series with its exponent pre-test: every
 value and stop decision equals the one-expression ratio of
 tests/oracles.py summed on mpf objects (oracles.sum_series_mpf) bit for
 bit, and the memo stays small while it saves the zero finder most of its
-q-powers and libmp calls.
+q-powers and libmp calls.  The lattice's column kernel, which runs the
+same passes without eval_J's gates, gives eval_J's values bit for bit.
 """
 
+import functools
 import math
 import types
 
@@ -467,3 +469,39 @@ def test_a_row_build_that_raises_leaves_the_entry_as_it_was(monkeypatch, n):
                 except _Interrupted:
                     pass
         assert run() == want
+
+
+@pytest.fixture(scope="module")
+def zeros05():
+    """j_10 and j_20 of (q, alpha) = (0.5, 0)."""
+    t = find_zeros(QContext(0.5), 0, 20, tol=1e-12)
+    return t.zeros[9], t.zeros[19]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.9])
+@pytest.mark.parametrize("alpha", [-0.4, 0, 1])
+@pytest.mark.parametrize("tol", [1e-13, 1e-30, mp.mpf("1e-400")])
+@pytest.mark.parametrize("prec", [53, 200])
+def test_column_kernel_gives_the_bits_of_eval_J(
+    monkeypatch, zeros05, q, alpha, tol, prec
+):
+    # the lattice's column of J_{alpha+1}(q^m, z), m < 70, from one kernel
+    # call per z; along a column the working precision of the entries
+    # changes, and at z = 0 every entry is 1.  The factor rows depend on
+    # neither caller, so a memo that keeps every precision of the column
+    # lets eval_J read the rows the kernel built instead of building them
+    # again (both sides built every row with the memo's 4 slots).
+    factors = functools.lru_cache(maxsize=None)(bqbessel._factors.__wrapped__)
+    monkeypatch.setattr(bqbessel, "_factors", factors)
+    ctx = QContext(q)
+    with mp.workprec(prec):
+        order = mp.mpf(alpha) + 1
+        xs = [mp.mpf(q) ** m for m in range(70)]
+        for z in [mp.mpf(0), mp.mpf(0.01), mp.mpf(1), mp.mpf(9)] + [
+            j * j for j in zeros05
+        ]:
+            factors.cache_clear()
+            got = bqbessel._j_column(order, xs, z, q, tol)
+            assert mp.mp.prec == prec
+            want = [eval_J(ctx, order, x, z, tol).value._mpf_ for x in xs]
+            assert got == want, (z, [m for m in range(70) if got[m] != want[m]])

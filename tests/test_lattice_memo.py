@@ -12,17 +12,19 @@ from bigqbessel import (
     QContext,
     QLatticeSignal,
     closed_sum_check,
+    eval_J,
     find_zeros,
     fourier_coefficients,
     gram_matrix,
     inner_product,
+    lommel_integral_direct,
     norm_sq_closed,
     orthogonality,
     q_hankel_transform,
     reconstruct,
     sampling,
 )
-from bigqbessel.errors import NotAZero
+from bigqbessel.errors import DivergentSeries, NotAZero
 from bigqbessel.qcalc import _workdigits
 
 F = QLatticeSignal(values=[1.0, -0.5, 0.25, 0.125])
@@ -148,9 +150,11 @@ def test_column_slots_bound_the_norms_and_gram_integrals(tables, monkeypatch):
             assert set(col.grams) <= kept
 
 
-def _count_eval_J(monkeypatch):
-    """The (order, x, z) of every eval_J call of the L3 modules, and of
-    every eval_dJ_dz call of the closed-form norms."""
+def _count_eval_J(monkeypatch, kernel_calls=None):
+    """The (order, x, z) of every eval_J call of the L3 modules, of every
+    eval_dJ_dz call of the closed-form norms, and of every entry that the
+    lattice columns' kernel evaluates; kernel_calls, if given, gets the
+    number of entries of each kernel call."""
     calls = []
 
     def count(mod, name):
@@ -160,9 +164,16 @@ def _count_eval_J(monkeypatch):
 
         monkeypatch.setattr(mod, name, counted)
 
+    def column(order, xs, z, q, tol, _f=orthogonality._j_column):
+        calls.extend((mp.mpf(order), mp.mpf(x), mp.mpf(z)) for x in xs)
+        if kernel_calls is not None:
+            kernel_calls.append(len(xs))
+        return _f(order, xs, z, q, tol)
+
     for mod in (orthogonality, sampling):
         count(mod, "eval_J")
     count(orthogonality, "eval_dJ_dz")
+    monkeypatch.setattr(orthogonality, "_j_column", column)
     return calls
 
 
@@ -219,3 +230,44 @@ def test_closed_sum_after_reconstruct_evaluates_its_lambda_only(
     assert sorted(c[:2] for c in calls) == [(0, 1), (1, 1)]
     assert calls[0][2] == calls[1][2]
     assert abs(calls[0][2] - 0.49) < 1e-15
+
+
+def test_a_transform_column_costs_one_kernel_call(tables, monkeypatch):
+    # the entries a signal reads, f[m] != 0, in one kernel call per column
+    kernel_calls = []
+    calls = _count_eval_J(monkeypatch, kernel_calls)
+    ctx = QContext(0.5)
+    orthogonality._memo.cache_clear()
+    q_hankel_transform(ctx, 0.0, F, 1.3)
+    assert kernel_calls == [len(F)]
+    assert [c[1] for c in calls] == [mp.mpf(0.5) ** m for m in range(len(F))]
+    del kernel_calls[:]
+    q_hankel_transform(ctx, 0.0, QLatticeSignal([0.0, 2.0, 0.0, 1.0]), 1.3)
+    assert kernel_calls == [2]
+    # reconstruct: one call per zero's column and one per lambda
+    del kernel_calls[:]
+    reconstruct(ctx, 0.0, F, tables[0.5, 0.0], [0.7, 2.9])
+    assert kernel_calls == [len(F)] * (len(tables[0.5, 0.0]) + 2)
+    # a two-column Jackson sum: both 64-entry heads, then one entry a call
+    del kernel_calls[:]
+    lommel_integral_direct(ctx, 0.0, 0.7, 2.9)
+    assert kernel_calls[:2] == [64, 64]
+    assert set(kernel_calls[2:]) <= {1}
+
+
+def test_a_failed_column_leaves_the_caller_and_the_memo_as_they_were():
+    # at q = 0.999 the entry x = 1 at lambda = 1000 exceeds eval_J's
+    # default term budget; the transform raises eval_J's error, restores
+    # mpmath's precision, and leaves a lattice that serves the next call
+    # as a cold one would
+    ctx = QContext(0.999)
+    orthogonality._memo.cache_clear()
+    with pytest.raises(DivergentSeries) as want:
+        eval_J(ctx, 1, 1, mp.mpf(1000.0) ** 2)
+    with mp.workprec(80):
+        with pytest.raises(DivergentSeries) as got:
+            q_hankel_transform(ctx, 0, F, 1000.0)
+        assert mp.mp.prec == 80
+    assert str(got.value) == str(want.value)
+    warm = _bits(q_hankel_transform(ctx, 0, F, 0.7))
+    assert warm == _cold((q_hankel_transform, ctx, 0, F, 0.7))
