@@ -37,9 +37,9 @@ second small memo keyed by (float q, float alpha) (_float_rows), built
 row by row on demand by the float expressions they replace.
 
 The lattice's columns of J values come from _j_column, one call per
-column: per entry it runs _j_ratio and the two passes of sum_series,
-without eval_J's argument gates, tail bound and SeriesValue, and gives
-eval_J's value bit for bit.
+column: one call of the series engine (qcalc._sums) over _j_ratio of
+each entry, without eval_J's argument gates, tail bound and SeriesValue,
+which gives eval_J's value bit for bit.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ from .qcalc import (
     QContext,
     SeriesValue,
     _arg,
-    _digits,
-    _exact_pass,
-    _float_pass,
     _integer,
     _log10_abs,
     _order,
+    _sums,
     _tol,
     _workdigits,
     fused_product_ratio,
@@ -492,25 +490,15 @@ def _j_column(alpha, xs, z, q, tol) -> list:
     """[eval_J(QContext(q), alpha, x, z, tol).value._mpf_ for x in xs]: the
     column kernel of the lattice (orthogonality._Column.fill), whose
     arguments come converted and checked (alpha an mpf above -1, each x
-    and z an mpf, tol passed by _tol).  Each entry runs _j_ratio and the
-    two passes of sum_series at that entry's own working precision,
-    without the argument gates, the tail, the rounding floor or the
-    SeriesValue, so each is the raw value of eval_J's bit for bit; at
-    z = 0 every entry is 1, as in eval_J.  mpmath's precision is the
-    caller's again on every exit."""
+    and z an mpf, tol passed by _tol).  One call of the series engine
+    (qcalc._sums) sums _j_ratio of every x, without the argument gates,
+    the tail, the rounding floor or the SeriesValue, so each entry is the
+    raw value of eval_J's bit for bit; at z = 0 every entry is 1, as in
+    eval_J."""
     if not z:
         return [fone] * len(xs)
-    digs = _digits(tol)
-    ctx_prec = mp.mp.prec
-    values = []
-    try:
-        for x in xs:
-            log_ratio, ratio = _j_ratio(alpha, x, z, q)
-            mp.mp.dps = _float_pass(0.0, log_ratio, digs, TERMS_MAX)[1]
-            values.append(_exact_pass(fone, ratio, tol, TERMS_MAX)[0])
-    finally:
-        mp.mp.prec = ctx_prec
-    return values
+    series = ((0.0, lambda: fone, *_j_ratio(alpha, x, z, q)) for x in xs)
+    return [s[0] for s in _sums(series, tol, TERMS_MAX)]
 
 
 def eval_dJ_dz(

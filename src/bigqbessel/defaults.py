@@ -23,6 +23,7 @@ RESIDUAL_TOL = 1e-9
 SIMPLICITY_FLOOR = 1e-12
 
 # Zero finder scan: geometric grid z_m = Z_START * rho^m in z = lambda^2
+# (started lower where the first zero lies below Z_START, as q -> 1)
 # with rho = q**RHO_EXPONENT, each step cut into SUBDIVISIONS sub-brackets
 # to guard against sign-change pairs hiding inside one step; the scan gives
 # up after SCAN_MAX_STEPS steps, about 4 000 zeros at 4-5 steps per zero.

@@ -30,10 +30,12 @@ powers q^m, the weights, the columns J_{alpha+1}(q^m, j_k) of the zero
 family (_Lattice.basis; the _BASIS_SLOTS zeros used last per lattice) and
 the constants C and W(1) of the closed forms (_Lattice.closed).  Each
 zero's column also holds its closed-form norm for the deriv it was given
-(norm_sq_closed) and its Gram integrals against the other kept columns
-(_Lattice.gram), so these go when the column goes; a point that is not a
-zero keeps nothing.  A column evaluates the entries it lacks in one call
-of the column kernel bqbessel._j_column (_Column.fill): a lattice sum
+(norm_sq_closed), its Gram integrals against the other kept columns
+(_Lattice.gram) and J_a(1, j_k), the residual of the zero the table
+holds, which sampling takes out (_Column.end), so these go when the
+column goes; a point that is not a zero keeps nothing.  A column
+evaluates the entries it lacks in one call of the column kernel
+bqbessel._j_column (_Column.fill): a lattice sum
 fills the entries a signal reads, or both columns' 64-entry Jackson
 heads, before it sums.  Each value is the same mpmath operation on the
 same operands at the same precision as when a call computed it itself,
@@ -48,6 +50,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul
 
 from .bqbessel import _j_column, eval_dJ_dz, eval_J
 from .defaults import DEFAULT_TOL, NOT_A_ZERO_TOL
@@ -187,7 +190,7 @@ class _Lattice:
         the integrals that the kept columns hold against it."""
         col = self._basis.pop(zero, None)
         if col is None:
-            col = self.column(zero * zero)
+            col = _Column(self, zero * zero, zero)
         self._basis[zero] = col
         if len(self._basis) > _BASIS_SLOTS:
             _, gone = self._basis.popitem(last=False)
@@ -248,9 +251,10 @@ class _Column:
     exponent, bitcount) tuples, a third smaller than mpf objects, since
     the memo keeps thousands of them."""
 
-    def __init__(self, lattice: _Lattice, z) -> None:
+    def __init__(self, lattice: _Lattice, z, zero=None) -> None:
         self._lattice = lattice
         self._z = z
+        self._zero = zero  # a basis column's zero, z = zero^2 rounded
         self._values: List = []
         # a basis column's (deriv, norm_sq_closed) and its Gram integrals
         # integral(self, g).value by g._z, kept by norm_sq_closed and
@@ -277,6 +281,18 @@ class _Column:
     def __getitem__(self, m: int) -> mp.mpf:
         self.fill((m,))
         return mp.make_mpf(self._values[m])
+
+    @functools.cached_property
+    def end(self) -> mp.mpf:
+        """J_alpha(1, zero) of a basis column at the lattice's tol,
+        evaluated once: at a table zero, the residual of the zero that the
+        table holds.  It is taken at the zero's exact square, not at z,
+        which the working precision rounds: at a large zero that moves J
+        by far more than the residual (by 1e147 at the 19th zero of
+        (q, alpha) = (0.3, 1))."""
+        lat, zm = self._lattice, self._zero._mpf_
+        z = mp.make_mpf(mpf_mul(zm, zm))  # exact, with no precision given
+        return eval_J(lat.ctx, lat.alpha, 1, z, lat.tol).value
 
 
 # The memo of lattices (_lattice) holds the _LATTICE_SLOTS keys (q, alpha,

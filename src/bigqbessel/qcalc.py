@@ -1,19 +1,21 @@
 """q-calculus primitives.
 
 Infinite q-product ratios, q-derivatives, the Jackson q-integral, and
-sum_series, which sums the J series: it stops at index k once
-|term_k| <= tol*max(1, |S|) and the next term ratio has |r(k)| < 1, and
-reports the tail bound |term_{k+1}|/(1-|r(k)|), proved beside
-bqbessel._j_ratio.  sum_series is two passes and the tail: a float pass
-(_float_pass) that fixes the working precision, and an exact pass
-(_exact_pass) that works on mpmath's raw _mpf_ tuples with the
-mpmath.libmp functions that mpf arithmetic calls, at the same precision
-and rounding, so every value and every stop decision is the one the same
-loop on mpf objects gives (tests/oracles.py keeps that loop).  The binary
-exponents of a term and of the sum decide most stop tests without the mpf
-comparison: where they show |term| > tol*max(1, |S|), the mpf test could
-only say the same.  The lattice's column kernel (bqbessel._j_column) runs
-the same two passes without the tail.
+the series engine (_sums), which sums the J series, dJ/dz and the
+lattice's columns of J values: it stops a series at index k once
+|term_k| <= tol*max(1, |S|) and the next term ratio has |r(k)| < 1.  Per
+series it runs a float pass (_float_pass) that fixes the working
+precision, and at that precision an exact pass (_exact_pass) that works
+on mpmath's raw _mpf_ tuples with the mpmath.libmp functions that mpf
+arithmetic calls, at the same precision and rounding, so every value and
+every stop decision is the one the same loop on mpf objects gives
+(tests/oracles.py keeps that loop).  The binary exponents of a term and
+of the sum decide most stop tests without the mpf comparison: where they
+show |term| > tol*max(1, |S|), the mpf test could only say the same.  The
+engine is the one place that sets mpmath's precision for a series.
+sum_series is one engine call and the tail bound |term_{k+1}|/(1-|r(k)|),
+proved beside bqbessel._j_ratio, with the rounding floor; the lattice's
+column kernel (bqbessel._j_column) is one engine call over a column.
 
 Every public entry of L0-L3 passes its caller's arguments through six
 gates before any work: _arg converts each number exactly and _numbers
@@ -43,10 +45,13 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_div,
     mpf_gt,
     mpf_le,
     mpf_lt,
     mpf_mul,
+    mpf_pow_int,
+    mpf_sub,
 )
 
 from .defaults import DEFAULT_TOL, GUARD_DIGITS, MIN_DPS, TERMS_MAX
@@ -237,32 +242,55 @@ def sum_series(
     tol: float,
     terms_max: int = TERMS_MAX,
 ) -> SeriesValue:
-    """Adaptive-precision summation engine of the J series and dJ/dz.
+    """The J series or dJ/dz summed by the engine (_sums), with its tail
+    bound and rounding floor, as a SeriesValue.
 
-    A cheap float pass over log10 term magnitudes (_float_pass) estimates
-    the peak term, which fixes the working precision (the series alternate
-    in sign, and the peak can exceed the sum by hundreds of digits).  The
-    exact pass (_exact_pass) then applies the truncation rule of the
-    module docstring at that precision, with mp_term0() as its first term
-    and mp_ratio(k) as r(k), each a raw _mpf_ tuple computed at that
-    precision and rounding.  The tail bound, the rounding floor and the
-    result are mpf.  tol and terms_max come checked from the public entry
-    (_tol, _integer).
+    The first term is mp_term0() and r(k) is mp_ratio(k), each a raw
+    _mpf_ tuple at the working precision and rounding, with log10|t_0| =
+    log_term0 and log10|r(k)| = log_ratio(k) for the float pass.  The tail
+    bound |nxt|/(1 - |r|) and the rounding floor 10^(peak + 5 - dps) (the
+    partial sums peak at ~10^peak, so the summation noise sits near
+    10^(peak - dps)) are taken on raw tuples at the precision prec that
+    the engine summed at, the operations mpf arithmetic performs there.
+    tol and terms_max come checked from the public entry (_tol, _integer).
     """
-    digs = _digits(tol)
-    peak, dps = _float_pass(log_term0, log_ratio, digs, terms_max)
-    with mp.workdps(dps):
-        s, n, nxt, abs_r = _exact_pass(mp_term0(), mp_ratio, tol, terms_max)
-        tail = abs(mp.make_mpf(nxt)) / (1 - mp.make_mpf(abs_r))
-        # Add the rounding floor: partial sums peak at ~10^peak, so the
-        # summation noise sits near 10^(peak - dps).
-        err = tail + mp.mpf(10) ** (int(peak) + 5 - dps)
-        return SeriesValue(+mp.make_mpf(s), +err, n)
+    series = (log_term0, mp_term0, log_ratio, mp_ratio)
+    ((s, n, nxt, abs_r, peak, dps, prec),) = _sums([series], tol, terms_max)
+    rnd = mp.mp._prec_rounding[1]
+    # |nxt| needs no rounding: nxt has at most prec bits
+    tail = mpf_div(mpf_abs(nxt), mpf_sub(fone, abs_r, prec, rnd), prec, rnd)
+    floor = mpf_pow_int(from_int(10), int(peak) + 5 - dps, prec, rnd)
+    err = mpf_add(tail, floor, prec, rnd)
+    return SeriesValue(mp.make_mpf(s), mp.make_mpf(err), n)
 
 
-def _digits(tol) -> float:
-    """The decimal digits that tol asks of sum_series, at least 1."""
-    return max(1.0, -_log10_abs(tol))
+def _sums(series, tol, terms_max: int) -> list:
+    """[(s, n, nxt, |r|, peak, dps, prec)] of each (log_term0, mp_term0,
+    log_ratio, mp_ratio) in series, the one engine that sums the J series
+    and dJ/dz (sum_series) and the lattice's columns
+    (bqbessel._j_column).
+
+    Per series a cheap float pass over log10 term magnitudes
+    (_float_pass) estimates the peak term, which fixes the working
+    precision: dps decimal digits, prec bits (the series alternate in
+    sign, and the peak can exceed the sum by hundreds of digits).  At
+    that precision the exact pass (_exact_pass) then applies the
+    truncation rule of the module docstring from mp_term0() with
+    r(k) = mp_ratio(k), each a raw _mpf_ tuple at that precision and
+    mpmath's rounding.  series may be lazy: each is taken once the one
+    before it is summed.  mpmath's precision is set once per series and
+    is the caller's again on every exit, also when a pass raises
+    DivergentSeries.
+    """
+    digs = max(1.0, -_log10_abs(tol))  # at least 1 decimal digit
+    sums = []
+    with mp.workprec(mp.mp.prec):  # restores the caller's precision
+        for log_term0, mp_term0, log_ratio, mp_ratio in series:
+            peak, dps = _float_pass(log_term0, log_ratio, digs, terms_max)
+            mp.mp.dps = dps
+            s = _exact_pass(mp_term0(), mp_ratio, tol, terms_max)
+            sums.append(s + (peak, dps, mp.mp.prec))
+    return sums
 
 
 def _float_pass(
@@ -274,7 +302,8 @@ def _float_pass(
     """(peak, dps): the largest log10|term| (at least 0) over the terms
     t_0 = 10^log_term0, t_(k+1) = t_k 10^log_ratio(k) up to the first one
     that falls, on a falling ratio, below 10^-(digs + 10), and the working
-    decimal digits that peak and digs = _digits(tol) fix."""
+    decimal digits that peak and digs, the decimal digits that tol asks,
+    fix."""
     lt = log_term0
     peak = max(0.0, lt)
     k = 0

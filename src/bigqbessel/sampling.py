@@ -7,16 +7,24 @@ The transform of a lattice signal f is
 and the reconstruction expands F over the positive zeros j_k of
 lambda -> J_alpha(1, lambda; q^2) with the kernel
 
-    S_k(lambda) = 2 j_k J_alpha(1, lambda; q^2)
+    S_k(lambda) = 2 j_k (J_alpha(1, lambda; q^2) - J_alpha(1, j_k; q^2))
                   / ((lambda^2 - j_k^2) * dJ_alpha/dlambda |_{j_k}).
 
 This kernel is the partial-fraction (Mittag-Leffler) expansion of
 F(lambda)/J_alpha(1, lambda): it interpolates (S_k(j_m) = delta_km holds
 by construction since J_alpha(1, j_m) = 0) and the expansion converges
 super-exponentially, independently of any orthogonality of the family
-{J_{alpha+1}(., j_k)}.  The displayed variant with J_{alpha+1} in place of
-J_alpha does not vanish at the sample points and fails the delta-property;
-it is restated in tests/oracles.py, where the tests show that it fails.
+{J_{alpha+1}(., j_k)}.  The displayed variant with J_{alpha+1} in place
+of J_alpha does not vanish at the sample points and fails the
+delta-property; it is restated in tests/oracles.py, where the tests show
+that it fails.
+
+A table holds each zero to its residual J_alpha(1, j_k), not 0.  The
+divided difference in the kernel's numerator is 0 at the j_k the table
+holds, so next to a zero that residual is not divided by
+lambda^2 - j_k^2; closed_sum_check puts each pole one Newton step from
+the table's j_k, at j_k - J_alpha(1, j_k) / d_k.  Both read J_alpha(1, j_k)
+from the zero's lattice column, which evaluates it once.
 """
 
 from __future__ import annotations
@@ -109,7 +117,9 @@ def q_hankel_transform(
 
 
 def _kernel(table: ZeroTable, k: int, lam, z, num):
-    """S_k(lambda) from num = J_alpha(1, lambda; q^2) and z = lambda^2."""
+    """S_k(lambda) from z = lambda^2 and the divided difference
+    num = J_alpha(1, lambda; q^2) - J_alpha(1, j_k; q^2), which is 0 at the
+    zero j_k that the table holds, whatever its residual."""
     jk = table.zeros[k]
     if abs(abs(lam) - jk) < KERNEL_POLE_WIDTH * jk:
         return 2 * jk / (abs(lam) + jk)
@@ -142,7 +152,8 @@ def sampling_kernel(
     with mp.workdps(_workdigits(tol)):
         z = lam * lam
         num = eval_J(ctx, alpha, 1, z, tol).value
-        return _kernel(table, k, lam, z, num)
+        end = _lattice(ctx, alpha, tol).basis(table.zeros[k]).end
+        return _kernel(table, k, lam, z, num - end)
 
 
 def reconstruct(
@@ -163,15 +174,16 @@ def reconstruct(
     _check_table(ctx, alpha, table)
     with mp.workdps(_workdigits(tol)):
         lat = _lattice(ctx, alpha, tol)
-        samples = [lat.integral(f.values, lat.basis(j)).value for j in table.zeros]
+        cols = [lat.basis(j) for j in table.zeros]
+        samples = [lat.integral(f.values, col).value for col in cols]
         zs = [lam * lam for lam in lams]
         direct = [lat.integral(f.values, lat.column(z)).value for z in zs]
         recon = []
         for lam, z in zip(lams, zs):
             num = eval_J(ctx, alpha, 1, z, tol).value
             s = mp.mpf(0)
-            for k, fj in enumerate(samples):
-                s += fj * _kernel(table, k, lam, z, num)
+            for k, (fj, col) in enumerate(zip(samples, cols)):
+                s += fj * _kernel(table, k, lam, z, num - col.end)
             recon.append(+s)
         worst = mp.mpf(0)
         for d, r in zip(direct, recon):
@@ -213,6 +225,9 @@ def closed_sum_check(
         lat = _lattice(ctx, am, tol)
         s = mp.mpf(0)
         for jk, dk in zip(table.zeros, table.derivs):
-            # J_{alpha+1}(1, j_k) is entry m = 0 of the zero's column
-            s += jk * lat.basis(jk)[0] / ((z - jk * jk) * dk)
+            # J_{alpha+1}(1, j_k) is entry m = 0 of the zero's column; the
+            # pole lies one Newton step from the table's j_k
+            col = lat.basis(jk)
+            pole = jk - col.end / dk
+            s += jk * col[0] / ((z - pole * pole) * dk)
         return ClosedSumResult(+lhs, +s, abs(lhs - s))

@@ -1,14 +1,17 @@
 """Location of the ordered positive zeros of lambda -> J_alpha(1, lambda; q^2),
 the zeros on the unit lattice {q^k} of [0, 1].
 
-The scan runs in z = lambda^2 on a geometric grid z_m = Z_START * rho^m
-(rho = q^(-1/2)): the zeros spread multiplicatively, so geometric stepping
-keeps roughly O(1) zeros per step.  Each step is cut into SUBDIVISIONS
-sub-brackets, and each sub-bracket with a sign change is cut once more, to
-guard against sign-change pairs hiding inside one step; every sign-change
-bracket is narrowed by bisection and polished by Newton steps in z using
-the term-wise derivative.  No scan of z < 0 is needed: every series term is
-positive there, so the function is >= 1 on the whole negative z-axis.
+The scan runs in z = lambda^2 on a geometric grid z_m = z_0 * rho^m
+(rho = q^(-1/2)) from z_0 = Z_START, or from 1/e_1, which lies below the
+first zero z_1, where that is smaller, as q -> 1 (_scan_start); J must be
+certified positive at z_0.  The zeros spread multiplicatively, so
+geometric stepping keeps roughly O(1) zeros per step.  Each step is cut
+into SUBDIVISIONS sub-brackets, and each sub-bracket with a sign change is
+cut once more, to guard against sign-change pairs hiding inside one step;
+every sign-change bracket is narrowed by bisection and polished by Newton
+steps in z using the term-wise derivative.  No scan of z < 0 is needed:
+every series term is positive there, so the function is >= 1 on the whole
+negative z-axis.
 
 The scan needs only the sign of J at each grid point.  bqbessel._j_sign
 sums the series in doubles and returns the sign when the sum exceeds an
@@ -251,13 +254,27 @@ def _geometric(z, ratio) -> List[mp.mpf]:
     ]
 
 
+def _scan_start(q: float, alpha: float) -> float:
+    """min(Z_START, 1/e_1), where e_1 = 2 q^(2alpha+2) / ((1 - q^2)
+    (1 - q^(2alpha+2))) is the coefficient of -z in J_alpha(1, sqrt(z);
+    q^2).  With z_1 < z_2 < ... the zeros, all real and positive for
+    alpha > -1/2, e_1 = sum_k 1/z_k, so z_1 > 1/e_1: no zero lies below
+    the start.  For q <= 0.9 1/e_1 exceeds 0.0105, so the start is
+    Z_START there; it moves below Z_START only as q nears 1."""
+    a = q ** (2 * alpha + 2)
+    e1 = 2 * a / ((1 - q * q) * (1 - a))
+    return 1 / e1 if e1 * Z_START > 1 else Z_START
+
+
 def find_zeros(
     ctx: QContext, alpha, count: int, tol: float = RESIDUAL_TOL
 ) -> ZeroTable:
     """First `count` positive zeros (in lambda) of J_alpha(1, lambda; q^2).
 
     tol is the absolute residual target on |J| at each accepted zero.  The
-    scan starts at z = Z_START, steps by rho = q^RHO_EXPONENT and stops
+    scan starts below the first zero, at z = Z_START or, as q nears 1,
+    lower (_scan_start), where J must be certified positive (else
+    BracketingFailure).  It steps by rho = q^RHO_EXPONENT and stops
     with BracketingFailure after SCAN_MAX_STEPS steps (about 4 000 zeros,
     since rho^4 = q^-2).  A zero whose |lambda dJ/dlambda| is below
     SIMPLICITY_FLOOR is not accepted as simple.  The floor is set on
@@ -283,8 +300,16 @@ def find_zeros(
         # the multipliers rho^(i/SUBDIVISIONS) of every step, taken once:
         # z_lo times them are the points _geometric(z_lo, rho) gives
         step = _geometric(mp.mpf(1), rho)
-        z_lo = mp.mpf(Z_START)
-        g_lo = sign(z_lo)
+        z_lo = mp.mpf(_scan_start(float(ctx.q), float(am)))
+        g_lo = _j_sign(alpha, z_lo, ctx.q)
+        if not g_lo:
+            sv = eval_J(ctx, am, 1, z_lo, tol=eval_tol)
+            g_lo = 1 if sv.value > sv.abs_error else 0
+        if g_lo != 1:
+            raise BracketingFailure(
+                f"J is not certified positive at the scan start z = "
+                f"{mp.nstr(z_lo)}"
+            )
         for _ in range(SCAN_MAX_STEPS):
             z_hi = z_lo * rho
             sub_z = [z_lo * m for m in step]

@@ -176,6 +176,15 @@ def brute_big_trig(which, x, z, q, dps=40):
         return +s
 
 
+def classical_zero(q, alpha, k):
+    """The classical limit of the k-th lambda-zero of J_alpha(1, .; q^2):
+    (1 - q^2) j_(alpha,k) / (2 sqrt 2), with j_(alpha,k) the k-th zero of
+    the Bessel function J_alpha (mp.besseljzero).  As q -> 1,
+    (lambda_k / classical_zero - 1) / (1 - q) tends to (3 + alpha) / 4."""
+    q = mp.mpf(q)
+    return (1 - q * q) * mp.besseljzero(alpha, k) / (2 * mp.sqrt(2))
+
+
 def dense_grid_zeros(q, alpha, count, lam_lo, lam_hi, n=400000, dps=40):
     """Independent zero oracle: float64 Horner evaluation of the series
     in z = lambda^2 on a dense uniform lambda grid, then bisection of

@@ -89,6 +89,15 @@ def test_zeros_csv_layout(capsys):
     assert len(lines) == 3
 
 
+def test_zeros_near_q_one_start_at_the_first_zero(capsys):
+    # z_1 = 2.906e-4 lies below the scan's usual start 1e-3
+    code, out, _ = run(capsys, ["zeros", "--q", "0.99", "--count", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["zeros"][0] ** 2 / 2.906e-4 - 1) < 1e-3
+    assert doc["derivs"][0] < 0 < doc["derivs"][1]
+
+
 def test_sample_with_signal_file(capsys, tmp_path):
     sig = tmp_path / "signal.json"
     sig.write_text('{"a": 1.0, "values": [1.0, -0.5, 0.25]}')
@@ -444,7 +453,9 @@ def test_numeric_failure_non_finite_input_file(capsys, tmp_path, command, name, 
 
 # sha256 of stdout, with the exit code, of documents the CLI wrote before
 # its commands were one table; `zeros.json` and `signal.json` stand for
-# files holding PINNED_ZEROS and PINNED_SIGNAL
+# files holding PINNED_ZEROS and PINNED_SIGNAL.  `sample` and `verify
+# --suite all` were pinned again when the sampling kernel's numerator
+# became J(lambda) - J(j_k), which is 0 at the zero the table holds.
 _ON_FILES = ["--signal", "signal.json", "--zeros", "zeros.json"]
 PINNED = [
     (["eval", "--q", "0.5", "--alpha", "0.5", "--x", "1.3", "--lambda", "2.0"],
@@ -463,8 +474,8 @@ PINNED = [
      "3b264109200ba8c23a732ed172224cca71f4da7a125f1637149279c8468f3393",
      "4dce123b3e1244c0d4c12b8bde957d18f010129df31829a568c6bf4c12e54b4c"),
     (["sample", "--q", "0.5", *_ON_FILES, "--lambdas", "0.3:1.2:4"],
-     "e76f00c72cbbfe7c0fc69c565a612a1b897b8345febedf28d779d232b36772ff",
-     "dc587b17ec48e91d19c646a862cf236108ce48db5fa769ae2a4708cc31bb84d3"),
+     "659c5bbf461f2f7dfa397a5725de6437d19dfc1b8a6f1650847d1da60cf989da",
+     "f81c559d1fdde02f9b65cc0d606d138605c4bc9ddb10bf9e428c57a66298f690"),
 ]
 PINNED_CASES = [
     (argv + ["--format", fmt], 0, digest)
@@ -477,7 +488,7 @@ PINNED_CASES = [
     # path and the sampling suite end to end; at q = 1/2 its Gram
     # off-diagonal fails the suite, so it exits 1
     (["verify", "--q", "0.5", "--suite", "all"], 1,
-     "8e0e37dc7fdfa4b1d5d0e7b25af0b4ca5315c14f99c649140ee42bad595c8ad4"),
+     "709bb4370d73c6f88daef643bf4d2329e43e5c6ebd647f2f5b4548da0d45f110"),
 ]
 
 

@@ -3,8 +3,9 @@ the raw-tuple exact pass of sum_series with its exponent pre-test: every
 value and stop decision equals the one-expression ratio of
 tests/oracles.py summed on mpf objects (oracles.sum_series_mpf) bit for
 bit, and the memo stays small while it saves the zero finder most of its
-q-powers and libmp calls.  The lattice's column kernel, which runs the
-same passes without eval_J's gates, gives eval_J's values bit for bit.
+q-powers and libmp calls.  The lattice's column kernel, which sums
+through the same engine without eval_J's gates, gives eval_J's values
+bit for bit, and a pass that raises leaves the caller's precision.
 """
 
 import functools
@@ -14,9 +15,10 @@ import types
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_float, fzero
+from mpmath.libmp import fone, from_float, fzero
 
 from bigqbessel import QContext, bqbessel, eval_dJ_dz, eval_J, find_zeros
+from bigqbessel.errors import DivergentSeries
 from bigqbessel.qcalc import sum_series
 
 import oracles
@@ -505,3 +507,35 @@ def test_column_kernel_gives_the_bits_of_eval_J(
             assert mp.mp.prec == prec
             want = [eval_J(ctx, order, x, z, tol).value._mpf_ for x in xs]
             assert got == want, (z, [m for m in range(70) if got[m] != want[m]])
+
+
+@pytest.mark.parametrize("stuck", ["float pass", "exact pass"])
+@pytest.mark.parametrize("caller", ["eval_J", "column"])
+def test_a_pass_that_raises_leaves_the_callers_precision(
+    monkeypatch, stuck, caller
+):
+    # at x = 1/2 the series is synthetic: with log10|r| = 0 the float pass
+    # never decays; with log10|r| = -1 it decays while the exact ratio
+    # stays 1, so the exact pass never meets the truncation rule.  The
+    # column fails at its second entry, after its first has set mpmath's
+    # precision.
+    j_ratio = bqbessel._j_ratio
+    log_r = 0.0 if stuck == "float pass" else -1.0
+
+    def synthetic(alpha, x, z, q):
+        if x != 0.5:
+            return j_ratio(alpha, x, z, q)
+        return (lambda k, lead=1.0: log_r), (lambda k, led=False: fone)
+
+    monkeypatch.setattr(bqbessel, "_j_ratio", synthetic)
+    calls = {
+        "eval_J": lambda: eval_J(QContext(0.5), 0, 0.5, 2.0, terms_max=60),
+        "column": lambda: bqbessel._j_column(
+            mp.mpf(1), [mp.mpf(1), mp.mpf(0.5)], mp.mpf(2), 0.5, 1e-13
+        ),
+    }
+    message = {"float pass": "failed to decay", "exact pass": "not certified"}
+    with mp.workprec(80):
+        with pytest.raises(DivergentSeries, match=message[stuck]):
+            calls[caller]()
+        assert mp.mp.prec == 80

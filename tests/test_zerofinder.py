@@ -157,6 +157,26 @@ def test_scan_ceiling_raises(monkeypatch, ctx05):
         find_zeros(ctx05, 0.0, 3)
 
 
+@pytest.mark.parametrize("q", [0.99, 0.995, 0.999])
+@pytest.mark.parametrize("alpha", [0, 0.5, 1])
+def test_zeros_near_q_one_approach_the_classical_zeros(q, alpha):
+    # here the first zeros lie below Z_START (z_1 = 2.9e-4 at q = 0.99,
+    # alpha = 0), so the scan starts below them; a table that skipped one
+    # would be off by a factor, and would start on a rising J
+    table = find_zeros(QContext(q), alpha, 3)
+    assert table.derivs[0] < 0
+    for k, lam in enumerate(table.zeros, 1):
+        stat = (lam / oracles.classical_zero(q, alpha, k) - 1) / (1 - q)
+        assert abs(stat - (3 + alpha) / 4) < 0.05
+
+
+def test_scan_start_must_be_certified_positive(monkeypatch, ctx05):
+    # z = 2 lies past j_1^2 = 1.26, where J is negative
+    monkeypatch.setattr(zerofinder, "_scan_start", lambda q, alpha: 2.0)
+    with pytest.raises(BracketingFailure, match="certified positive"):
+        find_zeros(ctx05, 0.0, 1)
+
+
 def test_no_zeros_for_negative_z(ctx05):
     # realness: J_0(1, z) >= 1 for z < 0, so the lambda-zeros are real
     for z in (-0.5, -4.0, -100.0):
